@@ -6,42 +6,24 @@
 
 namespace crowd::core {
 
-namespace {
-
-/// The façade-level num_threads is the default for entry points whose
-/// own options leave the knob at 1 (serial); a more specific non-default
-/// setting wins.
-size_t MergeThreadKnob(size_t option_threads, size_t config_threads) {
-  return option_threads == 1 ? config_threads : option_threads;
-}
-
-}  // namespace
-
 Result<CrowdEvaluator::BinaryReport> CrowdEvaluator::EvaluateBinary(
     const data::ResponseMatrix& responses) const {
   BinaryReport report;
-  BinaryOptions binary = config_.binary;
-  binary.num_threads =
-      MergeThreadKnob(binary.num_threads, config_.num_threads);
   if (!config_.prefilter_spammers) {
-    CROWD_ASSIGN_OR_RETURN(MWorkerResult result,
-                           MWorkerEvaluate(responses, binary));
-    report.assessments = std::move(result.assessments);
-    report.failures = std::move(result.failures);
+    CROWD_ASSIGN_OR_RETURN(static_cast<MWorkerResult&>(report),
+                           MWorkerEvaluate(responses, config_.binary));
     return report;
   }
 
   CROWD_ASSIGN_OR_RETURN(SpammerFilterResult filtered,
                          FilterSpammers(responses, config_.spammer));
   report.removed_spammers = filtered.removed;
-  CROWD_ASSIGN_OR_RETURN(MWorkerResult result,
-                         MWorkerEvaluate(filtered.filtered, binary));
+  CROWD_ASSIGN_OR_RETURN(static_cast<MWorkerResult&>(report),
+                         MWorkerEvaluate(filtered.filtered, config_.binary));
   // Map filtered indices back to the original worker ids.
-  report.assessments = std::move(result.assessments);
   for (WorkerAssessment& a : report.assessments) {
     a.worker = filtered.kept[a.worker];
   }
-  report.failures = std::move(result.failures);
   for (auto& [worker, status] : report.failures) {
     worker = filtered.kept[worker];
   }
@@ -71,8 +53,6 @@ KaryMWorkerResult CrowdEvaluator::EvaluateKaryAll(
     const KaryMWorkerOptions& options) const {
   KaryMWorkerOptions merged = options;
   merged.kary = config_.kary;
-  merged.num_threads =
-      MergeThreadKnob(merged.num_threads, config_.num_threads);
   return KaryEvaluateAllWorkers(responses, merged);
 }
 

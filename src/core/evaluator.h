@@ -30,12 +30,6 @@ class CrowdEvaluator {
     /// Run the majority-vote spammer filter before the binary
     /// estimator (recommended on real data; see Figures 3 and 4).
     bool prefilter_spammers = false;
-    /// Worker-level parallelism of the m-worker entry points: 1 =
-    /// serial (default), 0 = one thread per hardware core, n = n
-    /// threads. Applied to the binary and k-ary per-worker loops
-    /// whose own num_threads is left at the default; output is
-    /// bit-identical for every value.
-    size_t num_threads = 1;
   };
 
   CrowdEvaluator() = default;
@@ -45,13 +39,10 @@ class CrowdEvaluator {
 
   /// \brief Binary evaluation report. Worker ids refer to the
   /// *original* matrix even when the spammer filter re-indexed it.
-  struct BinaryReport {
-    std::vector<WorkerAssessment> assessments;
-    /// Workers without an assessment, ascending by id, with the
-    /// reason. Workers removed by the spammer pre-filter appear here
-    /// too (with a Status::FilteredOut), so `assessments ∪ failures`
-    /// covers every worker of the input matrix.
-    std::vector<std::pair<data::WorkerId, Status>> failures;
+  /// Workers removed by the spammer pre-filter appear among the
+  /// failures (with a Status::FilteredOut), so `assessments ∪
+  /// failures` covers every worker of the input matrix.
+  struct BinaryReport : MWorkerResult {
     /// Workers removed by the pre-filter (empty when disabled).
     std::vector<data::WorkerId> removed_spammers;
   };

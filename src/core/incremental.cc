@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace crowd::core {
 
@@ -83,10 +82,17 @@ void IncrementalEvaluator::MarkTaskDirty(data::TaskId t,
   }
 }
 
+Result<WorkerAssessment> IncrementalEvaluator::EvaluateUncached(
+    data::WorkerId worker) const {
+  return EvaluateWorker(overlap_, worker, options_);
+}
+
 const Result<WorkerAssessment>& IncrementalEvaluator::EnsureEvaluated(
     data::WorkerId worker) {
   if (IsStale(worker)) {
-    cache_[worker] = EvaluateWorker(overlap_, worker, options_);
+    // A throwing evaluation leaves the entry (and so its staleness)
+    // untouched.
+    cache_[worker] = EvaluateUncached(worker);
     cached_epoch_[worker] = dirty_epoch_[worker];
   }
   return *cache_[worker];
@@ -103,36 +109,13 @@ Result<WorkerAssessment> IncrementalEvaluator::Evaluate(
 }
 
 MWorkerResult IncrementalEvaluator::EvaluateAll() {
-  const size_t m = responses_.num_workers();
-  std::vector<data::WorkerId> stale;
-  for (data::WorkerId w = 0; w < m; ++w) {
-    if (IsStale(w)) stale.push_back(w);
-  }
-  if (options_.num_threads != 1 && stale.size() > 1) {
-    // Refresh the stale entries in parallel: each evaluation reads
-    // only the (frozen, for the duration of this call) overlap index
-    // and writes its own cache slot.
-    ThreadPool pool(options_.num_threads);
-    pool.ParallelFor(0, stale.size(), [&](size_t i) {
-      data::WorkerId w = stale[i];
-      cache_[w] = EvaluateWorker(overlap_, w, options_);
-      cached_epoch_[w] = dirty_epoch_[w];
-      return Status::OK();
-    }).AbortIfNotOk();  // Only an escaped exception lands here.
-  } else {
-    for (data::WorkerId w : stale) EnsureEvaluated(w);
-  }
-  MWorkerResult out;
-  for (data::WorkerId w = 0; w < m; ++w) {
-    // One copy out of the cache, which stays warm for later calls.
-    const Result<WorkerAssessment>& assessment = EnsureEvaluated(w);
-    if (assessment.ok()) {
-      out.assessments.push_back(*assessment);
-    } else {
-      out.failures.emplace_back(w, assessment.status());
-    }
-  }
-  return out;
+  // Each body reads only the overlap index (frozen for the duration of
+  // this call) and touches only its own worker's cache entry: stale
+  // workers are re-evaluated, fresh ones are copied out of the cache,
+  // which stays warm for later calls.
+  return EvaluatePool<WorkerAssessment>(
+      responses_.num_workers(), options_.num_threads,
+      [this](data::WorkerId w) { return EnsureEvaluated(w); });
 }
 
 size_t IncrementalEvaluator::DirtyWorkerCount() const {

@@ -38,6 +38,7 @@ class IncrementalEvaluator {
   // owned response matrix.
   IncrementalEvaluator(const IncrementalEvaluator&) = delete;
   IncrementalEvaluator& operator=(const IncrementalEvaluator&) = delete;
+  virtual ~IncrementalEvaluator() = default;
 
   /// Records worker `w`'s response to task `t` (overwriting any
   /// previous response). O(m). Untrusted input is fully validated
@@ -60,9 +61,11 @@ class IncrementalEvaluator {
   /// changed since the last call.
   Result<WorkerAssessment> Evaluate(data::WorkerId worker);
 
-  /// \brief Evaluates all workers (memoized per worker). Stale workers
-  /// are re-evaluated in parallel when `options.num_threads != 1`; the
-  /// result is bit-identical for every thread count.
+  /// \brief Evaluates all workers (memoized per worker). Only stale
+  /// workers are re-evaluated, in parallel when `options.num_threads
+  /// != 1`; the result is bit-identical for every thread count. A
+  /// worker whose evaluation throws is reported as an Internal failure
+  /// and stays stale (see core/evaluate_pool.h).
   MWorkerResult EvaluateAll();
 
   /// \brief Workers whose cached assessment is stale (or missing).
@@ -74,6 +77,13 @@ class IncrementalEvaluator {
   bool IsCached(data::WorkerId worker) const {
     return worker < cache_.size() && !IsStale(worker);
   }
+
+ protected:
+  /// One evaluation of `worker` on the current statistics, bypassing
+  /// the cache. Virtual only so that tests can inject a failing
+  /// evaluation.
+  virtual Result<WorkerAssessment> EvaluateUncached(
+      data::WorkerId worker) const;
 
  private:
   void MarkTaskDirty(data::TaskId t, data::WorkerId responder);

@@ -2,59 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-#include <utility>
 
 #include "core/triple_selection.h"
 #include "linalg/matrix_functions.h"
 #include "stats/normal.h"
 #include "util/logging.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace crowd::core {
-
-namespace {
-
-// Greedy peer pairing restricted to peers meeting the overlap
-// threshold — the same strategy as Algorithm A2's Step 1 but with the
-// k-ary method's stronger data requirement.
-std::vector<WorkerPair> QualifiedPairs(const data::OverlapIndex& overlap,
-                                       data::WorkerId target,
-                                       size_t min_overlap) {
-  std::vector<data::WorkerId> candidates;
-  for (data::WorkerId v = 0; v < overlap.num_workers(); ++v) {
-    if (v != target && overlap.CommonCount(target, v) >= min_overlap) {
-      candidates.push_back(v);
-    }
-  }
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](data::WorkerId a, data::WorkerId b) {
-                     return overlap.CommonCount(target, a) >
-                            overlap.CommonCount(target, b);
-                   });
-  std::vector<WorkerPair> pairs;
-  while (candidates.size() >= 2) {
-    data::WorkerId head = candidates.front();
-    size_t partner = 0;
-    for (size_t i = 1; i < candidates.size(); ++i) {
-      if (overlap.CommonCount(head, candidates[i]) >= min_overlap) {
-        partner = i;
-        break;
-      }
-    }
-    if (partner == 0) {
-      candidates.erase(candidates.begin());
-      continue;
-    }
-    pairs.emplace_back(head, candidates[partner]);
-    candidates.erase(candidates.begin() + static_cast<long>(partner));
-    candidates.erase(candidates.begin());
-  }
-  return pairs;
-}
-
-}  // namespace
 
 Result<KaryWorkerAssessment> KaryEvaluateWorker(
     const data::ResponseMatrix& responses, data::WorkerId worker,
@@ -72,7 +27,7 @@ Result<KaryWorkerAssessment> KaryEvaluateWorker(
   }
   const int k = responses.arity();
   std::vector<WorkerPair> pairs =
-      QualifiedPairs(overlap, worker, options.min_pair_overlap);
+      GreedyPairs(overlap, worker, options.min_pair_overlap);
   if (pairs.empty()) {
     return Status::InsufficientData(StrFormat(
         "worker %zu: no peer pair meets the %zu-task overlap threshold",
@@ -150,35 +105,12 @@ KaryMWorkerResult KaryEvaluateAllWorkers(
     const data::ResponseMatrix& responses,
     const KaryMWorkerOptions& options) {
   // One shared overlap build; per-worker evaluations read it
-  // immutably, so they fan out over the pool. Slots + id-ordered merge
-  // keep the output bit-identical to the serial path.
+  // immutably.
   data::OverlapIndex overlap(responses);
-  const size_t m = responses.num_workers();
-  std::vector<std::optional<Result<KaryWorkerAssessment>>> slots(m);
-  ThreadPool pool(options.num_threads);
-  Status loop_status = pool.ParallelFor(0, m, [&](size_t w) {
-    slots[w] = KaryEvaluateWorker(responses, overlap, w, options);
-    return Status::OK();
-  });
-  KaryMWorkerResult out;
-  for (data::WorkerId w = 0; w < m; ++w) {
-    if (!slots[w].has_value()) {
-      // Only reachable if the loop body itself failed (e.g. an
-      // exception was converted to a Status by the pool).
-      out.failures.emplace_back(
-          w, loop_status.ok()
-                 ? Status::Internal("worker evaluation did not run")
-                 : loop_status);
-      continue;
-    }
-    Result<KaryWorkerAssessment>& assessment = *slots[w];
-    if (assessment.ok()) {
-      out.assessments.push_back(std::move(*assessment));
-    } else {
-      out.failures.emplace_back(w, assessment.status());
-    }
-  }
-  return out;
+  return EvaluatePool<KaryWorkerAssessment>(
+      responses.num_workers(), options.num_threads, [&](data::WorkerId w) {
+        return KaryEvaluateWorker(responses, overlap, w, options);
+      });
 }
 
 }  // namespace crowd::core

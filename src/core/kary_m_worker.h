@@ -19,6 +19,7 @@
 
 #include <vector>
 
+#include "core/evaluate_pool.h"
 #include "core/kary_estimator.h"
 #include "data/overlap_index.h"
 #include "data/response_matrix.h"
@@ -71,10 +72,7 @@ Result<KaryWorkerAssessment> KaryEvaluateWorker(
 
 /// \brief Evaluates every worker; unevaluable workers are reported
 /// with their reason.
-struct KaryMWorkerResult {
-  std::vector<KaryWorkerAssessment> assessments;
-  std::vector<std::pair<data::WorkerId, Status>> failures;
-};
+using KaryMWorkerResult = PoolResult<KaryWorkerAssessment>;
 KaryMWorkerResult KaryEvaluateAllWorkers(
     const data::ResponseMatrix& responses,
     const KaryMWorkerOptions& options = {});

@@ -1,6 +1,5 @@
 #include "core/m_worker.h"
 
-#include <optional>
 #include <utility>
 
 #include "core/three_worker.h"
@@ -11,7 +10,6 @@
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace crowd::core {
 
@@ -90,27 +88,10 @@ Result<MWorkerResult> MWorkerEvaluate(const data::ResponseMatrix& responses,
         responses.num_workers()));
   }
   data::OverlapIndex overlap(responses);
-  const size_t m = responses.num_workers();
-  // Each worker's evaluation reads only the immutable overlap index,
-  // so the loop fans out over the pool; results land in per-worker
-  // slots and are merged in worker-id order, which keeps the output
-  // bit-identical to the serial (num_threads = 1) path.
-  std::vector<std::optional<Result<WorkerAssessment>>> slots(m);
-  ThreadPool pool(options.num_threads);
-  CROWD_RETURN_NOT_OK(pool.ParallelFor(0, m, [&](size_t w) {
-    slots[w] = EvaluateWorker(overlap, w, options);
-    return Status::OK();
-  }));
-  MWorkerResult out;
-  for (data::WorkerId w = 0; w < m; ++w) {
-    Result<WorkerAssessment>& assessment = *slots[w];
-    if (assessment.ok()) {
-      out.assessments.push_back(std::move(*assessment));
-    } else {
-      out.failures.emplace_back(w, assessment.status());
-    }
-  }
-  return out;
+  // Each worker's evaluation reads only the immutable overlap index.
+  return EvaluatePool<WorkerAssessment>(
+      responses.num_workers(), options.num_threads,
+      [&](data::WorkerId w) { return EvaluateWorker(overlap, w, options); });
 }
 
 }  // namespace crowd::core

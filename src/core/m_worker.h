@@ -6,9 +6,7 @@
 #ifndef CROWD_CORE_M_WORKER_H_
 #define CROWD_CORE_M_WORKER_H_
 
-#include <utility>
-#include <vector>
-
+#include "core/evaluate_pool.h"
 #include "core/types.h"
 #include "data/overlap_index.h"
 #include "util/result.h"
@@ -22,13 +20,8 @@ Result<WorkerAssessment> EvaluateWorker(const data::OverlapIndex& overlap,
                                         data::WorkerId worker,
                                         const BinaryOptions& options);
 
-/// \brief Result of evaluating a whole worker pool.
-struct MWorkerResult {
-  /// Successful assessments, one per evaluable worker.
-  std::vector<WorkerAssessment> assessments;
-  /// Workers that could not be evaluated, with the reason.
-  std::vector<std::pair<data::WorkerId, Status>> failures;
-};
+/// \brief Result of evaluating a whole binary worker pool.
+using MWorkerResult = PoolResult<WorkerAssessment>;
 
 /// \brief Evaluates every worker of a binary (possibly non-regular)
 /// dataset. Requires at least 3 workers.

@@ -10,16 +10,17 @@ namespace crowd::core {
 namespace {
 
 // Pairs the ordered candidate list front-to-back: the head is paired
-// with the first later candidate sharing >= 1 task with it (all
-// candidates already share >= 1 task with the target).
+// with the first later candidate sharing >= min_overlap tasks with it
+// (all candidates already share >= min_overlap tasks with the target).
 std::vector<WorkerPair> PairInOrder(const data::OverlapIndex& overlap,
-                                    std::vector<data::WorkerId> candidates) {
+                                    std::vector<data::WorkerId> candidates,
+                                    size_t min_overlap) {
   std::vector<WorkerPair> pairs;
   while (candidates.size() >= 2) {
     data::WorkerId head = candidates.front();
     size_t partner_pos = 0;
     for (size_t i = 1; i < candidates.size(); ++i) {
-      if (overlap.CommonCount(head, candidates[i]) > 0) {
+      if (overlap.CommonCount(head, candidates[i]) >= min_overlap) {
         partner_pos = i;
         break;
       }
@@ -29,7 +30,8 @@ std::vector<WorkerPair> PairInOrder(const data::OverlapIndex& overlap,
       if (obs::Registry* r = obs::MetricsRegistry()) {
         static obs::Counter* const dropped = r->GetCounter(
             "crowdeval_core_pairing_unpairable_total",
-            "candidate peers dropped because no partner shares a task");
+            "candidate peers dropped because no remaining peer meets the "
+            "pair overlap threshold with them");
         dropped->Increment();
       }
       candidates.erase(candidates.begin());
@@ -43,10 +45,11 @@ std::vector<WorkerPair> PairInOrder(const data::OverlapIndex& overlap,
 }
 
 std::vector<data::WorkerId> CandidatesFor(
-    const data::OverlapIndex& overlap, data::WorkerId target) {
+    const data::OverlapIndex& overlap, data::WorkerId target,
+    size_t min_overlap) {
   std::vector<data::WorkerId> candidates;
   for (data::WorkerId w = 0; w < overlap.num_workers(); ++w) {
-    if (w != target && overlap.CommonCount(target, w) > 0) {
+    if (w != target && overlap.CommonCount(target, w) >= min_overlap) {
       candidates.push_back(w);
     }
   }
@@ -56,20 +59,22 @@ std::vector<data::WorkerId> CandidatesFor(
 }  // namespace
 
 std::vector<WorkerPair> GreedyPairs(const data::OverlapIndex& overlap,
-                                    data::WorkerId target) {
-  std::vector<data::WorkerId> candidates = CandidatesFor(overlap, target);
+                                    data::WorkerId target,
+                                    size_t min_overlap) {
+  std::vector<data::WorkerId> candidates =
+      CandidatesFor(overlap, target, min_overlap);
   // Descending overlap with the target; ties by id for determinism.
   std::stable_sort(candidates.begin(), candidates.end(),
                    [&](data::WorkerId a, data::WorkerId b) {
                      return overlap.CommonCount(target, a) >
                             overlap.CommonCount(target, b);
                    });
-  return PairInOrder(overlap, std::move(candidates));
+  return PairInOrder(overlap, std::move(candidates), min_overlap);
 }
 
 std::vector<WorkerPair> RandomPairs(const data::OverlapIndex& overlap,
                                     data::WorkerId target, uint64_t seed) {
-  std::vector<data::WorkerId> candidates = CandidatesFor(overlap, target);
+  std::vector<data::WorkerId> candidates = CandidatesFor(overlap, target, 1);
   // SplitMix64-keyed Fisher-Yates; self-contained so that crowd_core
   // does not depend on crowd_rng.
   uint64_t state = seed ^ 0x9e3779b97f4a7c15ULL;
@@ -83,7 +88,7 @@ std::vector<WorkerPair> RandomPairs(const data::OverlapIndex& overlap,
     size_t j = static_cast<size_t>(next() % i);
     std::swap(candidates[i - 1], candidates[j]);
   }
-  return PairInOrder(overlap, std::move(candidates));
+  return PairInOrder(overlap, std::move(candidates), 1);
 }
 
 }  // namespace crowd::core

@@ -17,12 +17,16 @@ namespace crowd::core {
 using WorkerPair = std::pair<data::WorkerId, data::WorkerId>;
 
 /// \brief Greedy pairing for evaluating `target` (Section III-C1):
-/// peers are sorted by descending overlap with `target`; the head of
-/// the list is paired with the first remaining peer that shares at
-/// least one task with both `target` and the head. Peers that cannot
-/// be paired are dropped. Returns the (possibly empty) pair list.
+/// peers sharing at least `min_overlap` tasks with `target` are sorted
+/// by descending overlap with it; the head of the list is paired with
+/// the first remaining peer that shares at least `min_overlap` tasks
+/// with the head. Peers that cannot be paired are dropped. Returns the
+/// (possibly empty) pair list. Algorithm A2 uses the default threshold
+/// of one task; the m-worker k-ary evaluation passes its stronger
+/// KaryMWorkerOptions::min_pair_overlap.
 std::vector<WorkerPair> GreedyPairs(const data::OverlapIndex& overlap,
-                                    data::WorkerId target);
+                                    data::WorkerId target,
+                                    size_t min_overlap = 1);
 
 /// \brief Baseline strategy for the ablation bench: peers are paired
 /// in the order produced by a deterministic shuffle keyed on `seed`,

@@ -38,6 +38,18 @@ Status WrongArity(const char* command, size_t want, size_t got) {
                                    command, want, got));
 }
 
+void AppendMWorkerResultBody(std::string* out,
+                             const core::MWorkerResult& result) {
+  *out += "\"assessments\":";
+  AppendJsonArray(out, result.assessments.size(), [&](size_t i) {
+    *out += AssessmentJson(result.assessments[i]);
+  });
+  *out += ",\"failures\":";
+  AppendJsonArray(out, result.failures.size(), [&](size_t i) {
+    *out += FailureJson(result.failures[i].first, result.failures[i].second);
+  });
+}
+
 }  // namespace
 
 Result<Command> ParseCommand(std::string_view line) {
@@ -134,78 +146,51 @@ std::string FailureJson(data::WorkerId worker, const Status& status) {
 }
 
 std::string MWorkerResultBodyJson(const core::MWorkerResult& result) {
-  std::vector<std::string> assessments;
-  assessments.reserve(result.assessments.size());
-  for (const auto& a : result.assessments) {
-    assessments.push_back(AssessmentJson(a));
-  }
-  std::vector<std::string> failures;
-  failures.reserve(result.failures.size());
-  for (const auto& [worker, status] : result.failures) {
-    failures.push_back(FailureJson(worker, status));
-  }
-  return "\"assessments\":[" + Join(assessments, ",") +
-         "],\"failures\":[" + Join(failures, ",") + "]";
+  std::string out;
+  AppendMWorkerResultBody(&out, result);
+  return out;
 }
 
 std::string BinaryReportJson(
     const core::CrowdEvaluator::BinaryReport& report) {
-  core::MWorkerResult body;
-  body.assessments = report.assessments;
-  body.failures = report.failures;
-  std::vector<std::string> spammers;
-  spammers.reserve(report.removed_spammers.size());
-  for (data::WorkerId w : report.removed_spammers) {
-    spammers.push_back(StrFormat("%zu", w));
-  }
-  return "{\"ok\":true," + MWorkerResultBodyJson(body) +
-         ",\"removed_spammers\":[" + Join(spammers, ",") + "]}";
+  std::string out = "{\"ok\":true,";
+  AppendMWorkerResultBody(&out, report);
+  out += ",\"removed_spammers\":";
+  AppendJsonArray(&out, report.removed_spammers.size(), [&](size_t i) {
+    out += std::to_string(report.removed_spammers[i]);
+  });
+  out += '}';
+  return out;
 }
 
 std::string KaryResultJson(const core::KaryResult& result,
                            const std::vector<data::WorkerId>& workers) {
-  auto matrix_json = [](const linalg::Matrix& m) {
-    std::vector<std::string> rows;
-    rows.reserve(m.rows());
-    for (size_t i = 0; i < m.rows(); ++i) {
-      std::vector<std::string> cols;
-      cols.reserve(m.cols());
-      for (size_t j = 0; j < m.cols(); ++j) {
-        cols.push_back(JsonDouble(m(i, j)));
-      }
-      rows.push_back("[" + Join(cols, ",") + "]");
-    }
-    return "[" + Join(rows, ",") + "]";
-  };
-  std::vector<std::string> worker_docs;
-  for (size_t idx = 0; idx < result.workers.size(); ++idx) {
+  std::string out = "{\"ok\":true,\"workers\":";
+  AppendJsonArray(&out, result.workers.size(), [&](size_t idx) {
     const core::KaryWorkerEstimate& est = result.workers[idx];
-    std::vector<std::string> interval_rows;
-    interval_rows.reserve(est.intervals.size());
-    for (const auto& row : est.intervals) {
-      std::vector<std::string> cells;
-      cells.reserve(row.size());
-      for (const auto& ci : row) {
-        cells.push_back(StrFormat(
-            "{\"lo\":%s,\"hi\":%s,\"confidence\":%s}",
-            JsonDouble(ci.lo).c_str(), JsonDouble(ci.hi).c_str(),
-            JsonDouble(ci.confidence).c_str()));
-      }
-      interval_rows.push_back("[" + Join(cells, ",") + "]");
-    }
-    worker_docs.push_back(StrFormat(
-        "{\"worker\":%zu,\"p\":%s,\"intervals\":[%s]}",
-        idx < workers.size() ? workers[idx] : idx,
-        matrix_json(est.p).c_str(), Join(interval_rows, ",").c_str()));
-  }
-  std::vector<std::string> selectivity;
-  selectivity.reserve(result.selectivity.size());
-  for (double s : result.selectivity) selectivity.push_back(JsonDouble(s));
-  return StrFormat(
-      "{\"ok\":true,\"workers\":[%s],\"selectivity\":[%s],"
-      "\"rotations_used\":%d}",
-      Join(worker_docs, ",").c_str(), Join(selectivity, ",").c_str(),
-      result.rotations_used);
+    out += StrFormat("{\"worker\":%zu,\"p\":",
+                     idx < workers.size() ? workers[idx] : idx);
+    AppendJsonArray(&out, est.p.rows(), [&](size_t r) {
+      AppendJsonArray(&out, est.p.cols(),
+                      [&](size_t c) { out += JsonDouble(est.p(r, c)); });
+    });
+    out += ",\"intervals\":";
+    AppendJsonArray(&out, est.intervals.size(), [&](size_t r) {
+      AppendJsonArray(&out, est.intervals[r].size(), [&](size_t c) {
+        const stats::ConfidenceInterval& ci = est.intervals[r][c];
+        out += StrFormat("{\"lo\":%s,\"hi\":%s,\"confidence\":%s}",
+                         JsonDouble(ci.lo).c_str(), JsonDouble(ci.hi).c_str(),
+                         JsonDouble(ci.confidence).c_str());
+      });
+    });
+    out += '}';
+  });
+  out += ",\"selectivity\":";
+  AppendJsonArray(&out, result.selectivity.size(), [&](size_t i) {
+    out += JsonDouble(result.selectivity[i]);
+  });
+  out += StrFormat(",\"rotations_used\":%d}", result.rotations_used);
+  return out;
 }
 
 std::string ErrorJson(const Status& status) {

@@ -69,6 +69,20 @@ std::string JsonEscape(std::string_view text);
 /// A double as a JSON number that round-trips bit-exactly.
 std::string JsonDouble(double v);
 
+/// Appends the JSON array `[e(0),e(1),...,e(count-1)]` to `*out`, where
+/// `append_element(i)` appends element i to the same string. Every
+/// array in a reply is built this way, in place.
+template <typename AppendElement>
+void AppendJsonArray(std::string* out, size_t count,
+                     const AppendElement& append_element) {
+  *out += '[';
+  for (size_t i = 0; i < count; ++i) {
+    if (i > 0) *out += ',';
+    append_element(i);
+  }
+  *out += ']';
+}
+
 /// One worker assessment as a JSON object.
 std::string AssessmentJson(const core::WorkerAssessment& a);
 

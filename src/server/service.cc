@@ -246,7 +246,7 @@ Status Service::Apply(data::WorkerId worker, data::TaskId task,
 }
 
 Status Service::Ingest(data::WorkerId worker, data::TaskId task,
-                       data::Response value) {
+                       data::Response value, uint64_t* seq) {
   util::MutexLock lock(mu_);
   bool changed = false;
   Status st = Apply(worker, task, value, &changed);
@@ -256,11 +256,12 @@ Status Service::Ingest(data::WorkerId worker, data::TaskId task,
   }
   if (!changed) {
     counters_.noop->Increment();
+    if (seq != nullptr) *seq = last_seq_;
     return Status::OK();
   }
-  const uint64_t seq = last_seq_ + 1;
+  const uint64_t next_seq = last_seq_ + 1;
   if (journal_.has_value()) {
-    JournalRecord record{seq, worker, task, value};
+    JournalRecord record{next_seq, worker, task, value};
     CROWD_RETURN_NOT_OK(journal_->Append(record));
     if (options_.fsync_each_append) {
       CROWD_RETURN_NOT_OK(journal_->Sync());
@@ -270,7 +271,8 @@ Status Service::Ingest(data::WorkerId worker, data::TaskId task,
     counters_.journal_records->Set(
         static_cast<int64_t>(journal_->record_count()));
   }
-  last_seq_ = seq;
+  last_seq_ = next_seq;
+  if (seq != nullptr) *seq = next_seq;
   counters_.ingested->Increment();
   if (options_.snapshot_every > 0 && journal_.has_value() &&
       last_seq_ - static_cast<uint64_t>(counters_.snapshot_seq->Value()) >=
@@ -469,10 +471,11 @@ std::string Service::ExecuteLine(std::string_view line, bool* quit) {
 std::string Service::HandleCommand(const Command& cmd, bool* quit) {
   switch (cmd.type) {
     case CommandType::kResp: {
-      Status st = Ingest(cmd.worker, cmd.task, cmd.value);
+      uint64_t seq = 0;
+      Status st = Ingest(cmd.worker, cmd.task, cmd.value, &seq);
       if (!st.ok()) return ErrorJson(st);
       return StrFormat("{\"ok\":true,\"seq\":%llu}",
-                       static_cast<unsigned long long>(last_seq()));
+                       static_cast<unsigned long long>(seq));
     }
     case CommandType::kEval: {
       Result<core::WorkerAssessment> result = Evaluate(cmd.worker);
@@ -489,16 +492,16 @@ std::string Service::HandleCommand(const Command& cmd, bool* quit) {
       auto filtered = core::FilterSpammers(evaluator_->responses(),
                                            options_.spammer);
       if (!filtered.ok()) return ErrorJson(filtered.status());
-      std::vector<std::string> docs;
-      docs.reserve(filtered->removed.size());
-      for (data::WorkerId w : filtered->removed) {
-        docs.push_back(StrFormat(
-            "{\"worker\":%zu,\"proxy_error\":%s}", w,
-            JsonDouble(filtered->proxy_error[w]).c_str()));
-      }
-      return StrFormat("{\"ok\":true,\"threshold\":%s,\"spammers\":[%s]}",
-                       JsonDouble(options_.spammer.threshold).c_str(),
-                       Join(docs, ",").c_str());
+      std::string out =
+          StrFormat("{\"ok\":true,\"threshold\":%s,\"spammers\":",
+                    JsonDouble(options_.spammer.threshold).c_str());
+      AppendJsonArray(&out, filtered->removed.size(), [&](size_t i) {
+        const data::WorkerId w = filtered->removed[i];
+        out += StrFormat("{\"worker\":%zu,\"proxy_error\":%s}", w,
+                         JsonDouble(filtered->proxy_error[w]).c_str());
+      });
+      out += '}';
+      return out;
     }
     case CommandType::kStats: {
       const ServiceStats snapshot = stats();

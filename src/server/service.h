@@ -107,9 +107,13 @@ class Service {
       CROWD_EXCLUDES(mu_);
 
   /// Typed entry points (used by tests and the bench harness; the
-  /// protocol handlers above are thin wrappers over these).
+  /// protocol handlers above are thin wrappers over these). On
+  /// success Ingest sets `*seq` (when non-null) to the seq the
+  /// response was journaled under, or to the current seq for a no-op
+  /// re-submission, read under the same lock that applied it.
   Status Ingest(data::WorkerId worker, data::TaskId task,
-                data::Response value) CROWD_EXCLUDES(mu_);
+                data::Response value, uint64_t* seq = nullptr)
+      CROWD_EXCLUDES(mu_);
   Result<core::WorkerAssessment> Evaluate(data::WorkerId worker)
       CROWD_EXCLUDES(mu_);
   core::MWorkerResult EvaluateAll() CROWD_EXCLUDES(mu_);

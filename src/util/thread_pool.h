@@ -7,9 +7,10 @@
 // Determinism contract: ParallelFor makes no ordering promise about
 // *when* indices run, so callers that need output identical to the
 // serial path must write each index's result into its own slot and
-// merge in index order afterwards — that is how MWorkerEvaluate,
-// KaryEvaluateAllWorkers and IncrementalEvaluator::EvaluateAll keep
-// their output bit-identical for every thread count.
+// merge in index order afterwards. core::EvaluatePool
+// (core/evaluate_pool.h) does exactly that, and every whole-pool
+// evaluation (MWorkerEvaluate, KaryEvaluateAllWorkers,
+// IncrementalEvaluator::EvaluateAll) goes through it.
 
 #ifndef CROWD_UTIL_THREAD_POOL_H_
 #define CROWD_UTIL_THREAD_POOL_H_

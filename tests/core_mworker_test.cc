@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "core/m_worker.h"
 #include "core/three_worker.h"
@@ -88,6 +90,89 @@ TEST(TripleSelection, RandomPairsAreValidAndSeedDependent) {
   for (const auto& [a, b] : pairs1) {
     EXPECT_TRUE(used.insert(a).second);
     EXPECT_TRUE(used.insert(b).second);
+  }
+}
+
+// The greedy pairing as the m-worker k-ary evaluation spelled it out
+// before it shared GreedyPairs: threshold `min_overlap` on both the
+// candidate filter and the partner test.
+std::vector<WorkerPair> ReferenceThresholdPairs(
+    const data::OverlapIndex& overlap, data::WorkerId target,
+    size_t min_overlap) {
+  std::vector<data::WorkerId> candidates;
+  for (data::WorkerId v = 0; v < overlap.num_workers(); ++v) {
+    if (v != target && overlap.CommonCount(target, v) >= min_overlap) {
+      candidates.push_back(v);
+    }
+  }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [&](data::WorkerId a, data::WorkerId b) {
+                     return overlap.CommonCount(target, a) >
+                            overlap.CommonCount(target, b);
+                   });
+  std::vector<WorkerPair> pairs;
+  while (candidates.size() >= 2) {
+    size_t partner = 0;
+    for (size_t i = 1; i < candidates.size(); ++i) {
+      if (overlap.CommonCount(candidates[0], candidates[i]) >= min_overlap) {
+        partner = i;
+        break;
+      }
+    }
+    if (partner != 0) {
+      pairs.emplace_back(candidates[0], candidates[partner]);
+      candidates.erase(candidates.begin() + static_cast<long>(partner));
+    }
+    candidates.erase(candidates.begin());
+  }
+  return pairs;
+}
+
+// A sparse pool whose pairwise overlaps spread over roughly 5..35
+// tasks, so every threshold below drops some peers and not others.
+data::ResponseMatrix SparsePool() {
+  Random rng(41);
+  sim::BinarySimConfig config;
+  config.num_workers = 24;
+  config.num_tasks = 200;
+  config.assignment = sim::AssignmentConfig::Iid(0.3);
+  return sim::SimulateBinary(config, &rng).dataset.responses();
+}
+
+TEST(TripleSelection, GreedyThresholdMatchesReferenceAtEveryThreshold) {
+  data::ResponseMatrix matrix = SparsePool();
+  data::OverlapIndex overlap(matrix);
+  for (size_t min_overlap : {0, 1, 2, 10, 15, 20, 30, 1000}) {
+    for (data::WorkerId w = 0; w < matrix.num_workers(); ++w) {
+      EXPECT_EQ(GreedyPairs(overlap, w, min_overlap),
+                ReferenceThresholdPairs(overlap, w, min_overlap))
+          << "worker " << w << ", min_overlap " << min_overlap;
+    }
+  }
+}
+
+TEST(TripleSelection, GreedyDefaultThresholdIsOneTask) {
+  data::ResponseMatrix matrix = SparsePool();
+  data::OverlapIndex overlap(matrix);
+  for (data::WorkerId w = 0; w < matrix.num_workers(); ++w) {
+    EXPECT_EQ(GreedyPairs(overlap, w), GreedyPairs(overlap, w, 1));
+  }
+}
+
+TEST(TripleSelection, GreedyThresholdHoldsForEveryPair) {
+  data::ResponseMatrix matrix = SparsePool();
+  data::OverlapIndex overlap(matrix);
+  for (size_t min_overlap : {2, 15, 20}) {
+    size_t total_pairs = 0;
+    for (data::WorkerId w = 0; w < matrix.num_workers(); ++w) {
+      for (const auto& [a, b] : GreedyPairs(overlap, w, min_overlap)) {
+        EXPECT_GE(overlap.CommonCount(w, a), min_overlap);
+        EXPECT_GE(overlap.CommonCount(w, b), min_overlap);
+        EXPECT_GE(overlap.CommonCount(a, b), min_overlap);
+        ++total_pairs;
+      }
+    }
+    EXPECT_GT(total_pairs, 0u) << "min_overlap " << min_overlap;
   }
 }
 

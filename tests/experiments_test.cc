@@ -52,7 +52,9 @@ TEST(Series, RenderTableAlignsAndFillsGaps) {
   Figure figure;
   figure.name = "t";
   figure.title = "test";
-  figure.x_label = "x";
+  // Through std::string: GCC 12 at -O3 reports a false -Wrestrict on
+  // assigning this one-character literal directly.
+  figure.x_label = std::string("x");
   figure.AddPoint("alpha", 1.0, 0.5);
   figure.AddPoint("alpha", 2.0, 0.25);
   figure.AddPoint("beta", 2.0, 0.75);

@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/evaluate_pool.h"
 #include "core/evaluator.h"
 #include "core/incremental.h"
 #include "core/kary_m_worker.h"
@@ -178,14 +181,95 @@ TEST(ParallelDeterminism, IncrementalEvaluateAllMatchesSerial) {
   ExpectIdentical(a, c, "incremental warm");
 }
 
+TEST(ParallelDeterminism, ThrowingWorkerBecomesOneInternalFailure) {
+  data::ResponseMatrix responses = NonRegularMatrixWithFailure();
+  data::OverlapIndex overlap(responses);
+  const BinaryOptions options;
+  auto evaluate = [&](data::WorkerId w) -> Result<WorkerAssessment> {
+    if (w == 5) throw std::runtime_error("injected");
+    return EvaluateWorker(overlap, w, options);
+  };
+  MWorkerResult serial = EvaluatePool<WorkerAssessment>(
+      responses.num_workers(), 1, evaluate);
+  size_t internal = 0;
+  for (const auto& [worker, status] : serial.failures) {
+    if (status.code() != StatusCode::kInternal) continue;
+    ++internal;
+    EXPECT_EQ(worker, 5u);
+    EXPECT_NE(status.message().find("injected"), std::string::npos);
+  }
+  EXPECT_EQ(internal, 1u);
+  // Every other worker was still evaluated: 11 is the planted
+  // InsufficientData failure, the rest are assessed.
+  EXPECT_EQ(serial.failures.size(), 2u);
+  EXPECT_EQ(serial.assessments.size(), responses.num_workers() - 2);
+  MWorkerResult parallel = EvaluatePool<WorkerAssessment>(
+      responses.num_workers(), 4, evaluate);
+  ExpectIdentical(serial, parallel, "throwing body");
+}
+
+// An incremental evaluator whose evaluation of one worker throws.
+class ThrowingIncrementalEvaluator : public IncrementalEvaluator {
+ public:
+  ThrowingIncrementalEvaluator(size_t num_workers, size_t num_tasks,
+                               BinaryOptions options,
+                               data::WorkerId throwing_worker)
+      : IncrementalEvaluator(num_workers, num_tasks, options),
+        throwing_worker_(throwing_worker) {}
+
+ protected:
+  Result<WorkerAssessment> EvaluateUncached(
+      data::WorkerId worker) const override {
+    if (worker == throwing_worker_) throw std::runtime_error("injected");
+    return IncrementalEvaluator::EvaluateUncached(worker);
+  }
+
+ private:
+  data::WorkerId throwing_worker_;
+};
+
+TEST(ParallelDeterminism, IncrementalThrowLeavesWorkerStale) {
+  data::ResponseMatrix responses = NonRegularMatrixWithFailure();
+  const size_t m = responses.num_workers();
+  const size_t n = responses.num_tasks();
+  MWorkerResult results[2];
+  const size_t thread_counts[2] = {1, 4};
+  for (int i = 0; i < 2; ++i) {
+    BinaryOptions options;
+    options.num_threads = thread_counts[i];
+    ThrowingIncrementalEvaluator evaluator(m, n, options, 3);
+    for (data::TaskId t = 0; t < n; ++t) {
+      for (data::WorkerId w = 0; w < m; ++w) {
+        auto r = responses.Get(w, t);
+        if (!r.has_value()) continue;
+        ASSERT_TRUE(evaluator.AddResponse(w, t, *r).ok());
+      }
+    }
+    results[i] = evaluator.EvaluateAll();
+    size_t internal = 0;
+    for (const auto& [worker, status] : results[i].failures) {
+      if (status.code() != StatusCode::kInternal) continue;
+      ++internal;
+      EXPECT_EQ(worker, 3u);
+    }
+    EXPECT_EQ(internal, 1u);
+    // The throw filled no cache entry: worker 3 alone stays stale, and
+    // a second pass re-evaluates (and reports) it again.
+    EXPECT_FALSE(evaluator.IsCached(3));
+    EXPECT_EQ(evaluator.DirtyWorkerCount(), 1u);
+    ExpectIdentical(results[i], evaluator.EvaluateAll(), "second pass");
+  }
+  ExpectIdentical(results[0], results[1], "incremental throw");
+}
+
 TEST(ParallelDeterminism, EvaluatorConfigThreadsPropagate) {
   data::ResponseMatrix responses = NonRegularMatrixWithFailure();
   CrowdEvaluator::Config serial_config;
-  serial_config.num_threads = 1;
+  serial_config.binary.num_threads = 1;
   auto serial = CrowdEvaluator(serial_config).EvaluateBinary(responses);
   ASSERT_TRUE(serial.ok());
   CrowdEvaluator::Config parallel_config;
-  parallel_config.num_threads = 4;
+  parallel_config.binary.num_threads = 4;
   auto parallel =
       CrowdEvaluator(parallel_config).EvaluateBinary(responses);
   ASSERT_TRUE(parallel.ok());

@@ -5,6 +5,7 @@
 
 #include "server/service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -327,6 +328,42 @@ TEST(ServiceTest, ConcurrentIngestAndStatsAreRaceFree) {
   EXPECT_EQ(stats.responses_ingested + stats.responses_noop,
             static_cast<uint64_t>(kWriters) * kResponsesPerWriter);
   EXPECT_EQ(stats.responses_rejected, 0u);
+}
+
+// Each RESP ack must name the seq of its own response, even while
+// other connections ingest: writers on disjoint cells collect their
+// acks, which must be unique and cover 1..N exactly.
+TEST(ServiceTest, ConcurrentRespAcksNameTheirOwnSeq) {
+  constexpr size_t kWriters = 4;
+  constexpr size_t kWorkersPerWriter = 2;
+  constexpr size_t kTasks = 250;
+  auto service = OpenInMemory(kWriters * kWorkersPerWriter, kTasks);
+  std::vector<std::vector<uint64_t>> acks(kWriters);
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kWriters; ++i) {
+    threads.emplace_back([&, i] {
+      for (data::TaskId t = 0; t < kTasks; ++t) {
+        for (size_t k = 0; k < kWorkersPerWriter; ++k) {
+          const data::WorkerId w = i * kWorkersPerWriter + k;
+          const std::string reply = service->ExecuteLine(
+              "RESP " + std::to_string(w) + " " + std::to_string(t) + " " +
+              std::to_string((w + t) % 2));
+          const std::string prefix = "{\"ok\":true,\"seq\":";
+          ASSERT_EQ(reply.compare(0, prefix.size(), prefix), 0) << reply;
+          acks[i].push_back(std::stoull(reply.substr(prefix.size())));
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  std::vector<uint64_t> all;
+  for (const auto& a : acks) all.insert(all.end(), a.begin(), a.end());
+  std::sort(all.begin(), all.end());
+  const size_t n = kWriters * kWorkersPerWriter * kTasks;
+  ASSERT_EQ(all.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(all[i], i + 1) << "duplicate or missing seq";
+  }
 }
 
 TEST(ServiceTest, SpammersCommandReportsFilteredWorkers) {

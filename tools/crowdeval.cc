@@ -129,7 +129,7 @@ int RunEvaluate(const Args& args) {
   config.binary.confidence = args.confidence;
   config.prefilter_spammers = args.prune_spammers;
   config.spammer.threshold = args.threshold;
-  config.num_threads = args.threads;
+  config.binary.num_threads = args.threads;
   if (args.uniform_weights) {
     config.binary.weights = core::WeightScheme::kUniform;
   }
