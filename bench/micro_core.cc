@@ -16,6 +16,8 @@
 #include "core/kary_estimator.h"
 #include "core/m_worker.h"
 #include "core/three_worker.h"
+#include "core/triple_combiner.h"
+#include "core/triple_selection.h"
 #include "data/overlap_index.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -61,6 +63,33 @@ void BM_MWorker(benchmark::State& state) {
   state.SetComplexityN(static_cast<benchmark::IterationCount>(m));
 }
 BENCHMARK(BM_MWorker)->DenseRange(5, 45, 10)->Complexity();
+
+// Lemma 4 alone, the layer that dominates Algorithm A2 at scale: one
+// worker's CrossTripleCovariance per iteration, cycling through all
+// workers of a 200 x 2000 crowd at density 0.3 (the perfbench
+// batch_binary shape), so the mean time is the per-worker cost.
+void BM_CrossTripleCovariance(benchmark::State& state) {
+  auto sim = MakeBinary(200, 2000, 0.3);
+  data::OverlapIndex overlap(sim.dataset.responses());
+  core::BinaryOptions options;
+  std::vector<std::vector<core::TripleEstimate>> per_worker;
+  for (data::WorkerId w = 0; w < 200; ++w) {
+    std::vector<core::TripleEstimate> triples;
+    for (const auto& [j1, j2] : core::GreedyPairs(overlap, w)) {
+      auto t = core::EvaluateTriple(overlap, w, j1, j2, options);
+      if (t.ok()) triples.push_back(std::move(*t));
+    }
+    if (!triples.empty()) per_worker.push_back(std::move(triples));
+  }
+  size_t next = 0;
+  for (auto _ : state) {
+    auto cov =
+        core::CrossTripleCovariance(per_worker[next], overlap, options);
+    benchmark::DoNotOptimize(cov);
+    next = (next + 1) % per_worker.size();
+  }
+}
+BENCHMARK(BM_CrossTripleCovariance)->Unit(benchmark::kMicrosecond);
 
 void BM_OverlapIndexBuild(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));

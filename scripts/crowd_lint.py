@@ -33,6 +33,13 @@ to live here, in CI, instead of in the type system:
                  a truncated or hostile input becomes a Status, not an
                  out-of-bounds access. The fuzz harnesses (fuzz/)
                  enforce the same contract dynamically.
+  raw-popcount   No std::popcount / __builtin_popcount* in src/
+                 outside util/bitops.{h,cc}. Bitset rows are counted
+                 by the AND-popcount kernels there, which pick the
+                 POPCNT instruction at run time; a direct call
+                 compiles to the slow portable sequence, since the
+                 build sets no -mpopcnt. A small mask that is not a
+                 task bitset takes a waiver.
   span-name      Every CROWD_SPAN("...") literal matches the
                  documented `stage.substage` scheme ([a-z0-9_]+ '.'
                  [a-z0-9_]+) so trace dumps group consistently.
@@ -192,6 +199,20 @@ def rule_raw_byte_read(path, raw_lines, code_lines):
         "truncation surfaces as a Status instead of an OOB read")
 
 
+RAW_POPCOUNT = re.compile(r"std::popcount\b|\b__builtin_popcount\w*")
+RAW_POPCOUNT_EXEMPT = ("src/util/bitops.h", "src/util/bitops.cc")
+
+
+def rule_raw_popcount(path, raw_lines, code_lines):
+    if not path.startswith("src/") or path in RAW_POPCOUNT_EXEMPT:
+        return
+    yield from match_lines(
+        path, raw_lines, code_lines, RAW_POPCOUNT, "raw-popcount",
+        lambda m: f"{m.group(0)} outside util/bitops; count bitset rows "
+        "with util::AndPopcount (util/bitops.h), which dispatches to "
+        "hardware POPCNT at run time")
+
+
 SPAN = re.compile(r'CROWD_SPAN\(\s*"([^"]*)"')
 SPAN_NAME = re.compile(r"^[a-z0-9_]+\.[a-z0-9_]+$")
 
@@ -221,6 +242,7 @@ RULES = [
     rule_raw_mutex,
     rule_rng,
     rule_raw_byte_read,
+    rule_raw_popcount,
     rule_span_name,
 ]
 

@@ -1,7 +1,5 @@
 #include "core/agreement.h"
 
-#include <algorithm>
-
 #include "obs/metrics.h"
 
 namespace crowd::core {
@@ -14,15 +12,16 @@ Result<PairAgreement> ComputePairAgreement(
   out.b = b;
   out.common = overlap.CommonCount(a, b);
   CROWD_ASSIGN_OR_RETURN(out.q_raw, overlap.AgreementRate(a, b));
-  double floor = 0.5 + min_agreement_margin;
-  out.q = std::clamp(out.q_raw, floor, 1.0);
+  out.q = ClampedAgreementRate(overlap, a, b, min_agreement_margin);
   out.clamped = out.q != out.q_raw;
   if (out.clamped) {
-    // Hot path: count only the (rare) clamp events, no timing here.
+    // Count only the (rare) clamp events, no timing here. EvaluateTriple
+    // is the only library caller, so this counts once per (triple, pair).
     if (obs::Registry* r = obs::MetricsRegistry()) {
       static obs::Counter* const clamped = r->GetCounter(
           "crowdeval_core_agreement_clamped_total",
-          "pair agreement rates clamped away from the 1/2 singularity");
+          "agreement rates clamped away from the 1/2 singularity, once "
+          "per (triple, pair) a triple estimate reads");
       clamped->Increment();
     }
   }

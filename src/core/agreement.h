@@ -13,6 +13,8 @@
 #ifndef CROWD_CORE_AGREEMENT_H_
 #define CROWD_CORE_AGREEMENT_H_
 
+#include <algorithm>
+
 #include "data/overlap_index.h"
 #include "util/result.h"
 
@@ -31,8 +33,24 @@ struct PairAgreement {
   bool clamped = false;
 };
 
+/// \brief The clamped agreement rate q_ab = clamp(a_ab / c_ab,
+/// 0.5 + margin, 1) of a pair that shares at least one task
+/// (c_ab > 0). ComputePairAgreement reports this value as `q`; Lemma 4
+/// reads it directly, with no Result and no metric, because it visits
+/// ~2l^2 peer pairs per worker.
+inline double ClampedAgreementRate(const data::OverlapIndex& overlap,
+                                   data::WorkerId a, data::WorkerId b,
+                                   double min_agreement_margin) {
+  const size_t common = overlap.CommonCount(a, b);
+  CROWD_DCHECK(common > 0);
+  const double q_raw = static_cast<double>(overlap.AgreementCount(a, b)) /
+                       static_cast<double>(common);
+  return std::clamp(q_raw, 0.5 + min_agreement_margin, 1.0);
+}
+
 /// \brief Computes the agreement summary for a pair; fails with
-/// InsufficientData when the workers share no task.
+/// InsufficientData when the workers share no task. Counts each clamped
+/// result in crowdeval_core_agreement_clamped_total.
 Result<PairAgreement> ComputePairAgreement(
     const data::OverlapIndex& overlap, data::WorkerId a, data::WorkerId b,
     double min_agreement_margin);

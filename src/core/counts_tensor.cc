@@ -85,8 +85,9 @@ std::vector<CountsCell> CountsTensor::CellsWithMinWorkers(
     for (int b = 0; b < s; ++b) {
       for (int c = 0; c < s; ++c) {
         CountsCell cell{a, b, c};
-        if (std::popcount(static_cast<unsigned>(cell.Pattern())) >=
-            min_workers) {
+        const int responders = std::popcount(  // crowd-lint: allow(raw-popcount) 3-bit pattern, not a task bitset
+            static_cast<unsigned>(cell.Pattern()));
+        if (responders >= min_workers) {
           cells.push_back(cell);
         }
       }

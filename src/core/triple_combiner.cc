@@ -6,6 +6,7 @@
 #include "linalg/lu.h"
 #include "obs/metrics.h"
 #include "stats/delta_method.h"
+#include "util/bitops.h"
 #include "util/string_util.h"
 
 namespace crowd::core {
@@ -17,21 +18,17 @@ namespace {
 //   C = c_{i,j,j'} p_i (1 - p_i) (2 q_{j,j'} - 1) / (c_{i,j} c_{i,j'}).
 // Returns 0 when no task was attempted by all of i, j, j' (then the
 // two agreement rates are computed over response sets with no shared
-// (worker, task) cell).
-Result<double> LemmaFourC(const data::OverlapIndex& overlap,
-                          data::WorkerId i, data::WorkerId j,
-                          data::WorkerId j_prime, double p_i,
-                          const BinaryOptions& options) {
-  size_t c_triple = overlap.TripleCommonCount(i, j, j_prime);
+// (worker, task) cell). c_{i,j,j'} > 0 implies c_{j,j'} > 0, so q_{j,j'}
+// is always defined when it is read.
+double LemmaFourC(const data::OverlapIndex& overlap, size_t c_triple,
+                  data::WorkerId j, data::WorkerId j_prime, double c_ij,
+                  double c_ij_prime, double p_i,
+                  const BinaryOptions& options) {
   if (c_triple == 0) return 0.0;
-  CROWD_ASSIGN_OR_RETURN(
-      auto q, ComputePairAgreement(overlap, j, j_prime,
-                                   options.min_agreement_margin));
-  size_t c_ij = overlap.CommonCount(i, j);
-  size_t c_ij_prime = overlap.CommonCount(i, j_prime);
-  return static_cast<double>(c_triple) * p_i * (1.0 - p_i) *
-         (2.0 * q.q - 1.0) /
-         (static_cast<double>(c_ij) * static_cast<double>(c_ij_prime));
+  const double q = ClampedAgreementRate(overlap, j, j_prime,
+                                        options.min_agreement_margin);
+  return static_cast<double>(c_triple) * p_i * (1.0 - p_i) * (2.0 * q - 1.0) /
+         (c_ij * c_ij_prime);
 }
 
 }  // namespace
@@ -50,34 +47,44 @@ Result<linalg::Matrix> CrossTripleCovariance(
           "CrossTripleCovariance: triples evaluate different workers");
     }
   }
+  // Slot 2k + s holds triple k's peer j1 (s = 0) or j2 (s = 1), its
+  // derivative d_{i,peer}, c_{i,peer}, and the row B_peer = A_i & A_peer,
+  // so every c_{i,a,b} below is one two-row AND-popcount.
+  std::vector<data::WorkerId> peer(2 * l);
+  std::vector<double> d(2 * l);
+  std::vector<double> c_i(2 * l);
+  for (size_t k = 0; k < l; ++k) {
+    const TripleEstimate& t = triples[k];
+    peer[2 * k] = t.j1;
+    peer[2 * k + 1] = t.j2;
+    d[2 * k] = t.d_i_j1;
+    d[2 * k + 1] = t.d_i_j2;
+  }
+  for (size_t s = 0; s < 2 * l; ++s) {
+    c_i[s] = static_cast<double>(overlap.CommonCount(i, peer[s]));
+  }
+  std::vector<uint64_t> rows;
+  overlap.SharedAttemptRows(i, peer, &rows);
+  const size_t words = overlap.words_per_worker();
+
   linalg::Matrix cov(l, l);
   for (size_t k1 = 0; k1 < l; ++k1) {
     cov(k1, k1) = triples[k1].deviation * triples[k1].deviation;
     for (size_t k2 = k1 + 1; k2 < l; ++k2) {
-      const TripleEstimate& a = triples[k1];
-      const TripleEstimate& b = triples[k2];
       // The shared worker's error rate: use the mean of the two
       // triples' estimates (the true p_i is unknown; any consistent
       // estimate is admissible in the plug-in covariance).
-      double p_i = 0.5 * (a.p + b.p);
+      double p_i = 0.5 * (triples[k1].p + triples[k2].p);
       double sum = 0.0;
-      struct Term {
-        double d_a;
-        data::WorkerId peer_a;
-        double d_b;
-        data::WorkerId peer_b;
-      };
-      const Term terms[] = {
-          {a.d_i_j1, a.j1, b.d_i_j1, b.j1},
-          {a.d_i_j1, a.j1, b.d_i_j2, b.j2},
-          {a.d_i_j2, a.j2, b.d_i_j1, b.j1},
-          {a.d_i_j2, a.j2, b.d_i_j2, b.j2},
-      };
-      for (const Term& term : terms) {
-        CROWD_ASSIGN_OR_RETURN(
-            double c, LemmaFourC(overlap, i, term.peer_a, term.peer_b,
-                                 p_i, options));
-        sum += term.d_a * term.d_b * c;
+      // Terms (j1, j1), (j1, j2), (j2, j1), (j2, j2), in that order.
+      for (size_t a = 2 * k1; a < 2 * k1 + 2; ++a) {
+        for (size_t b = 2 * k2; b < 2 * k2 + 2; ++b) {
+          const size_t c_triple = util::AndPopcount(
+              rows.data() + a * words, rows.data() + b * words, words);
+          double c = LemmaFourC(overlap, c_triple, peer[a], peer[b], c_i[a],
+                                c_i[b], p_i, options);
+          sum += d[a] * d[b] * c;
+        }
       }
       cov(k1, k2) = cov(k2, k1) = sum;
     }

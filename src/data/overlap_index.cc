@@ -1,7 +1,6 @@
 #include "data/overlap_index.h"
 
-#include <bit>
-
+#include "util/bitops.h"
 #include "util/string_util.h"
 
 namespace crowd::data {
@@ -28,18 +27,12 @@ OverlapIndex::OverlapIndex(const ResponseMatrix& responses)
   for (WorkerId i = 0; i < num_workers_; ++i) {
     const uint64_t* ai = AttemptBits(i);
     for (WorkerId j = i; j < num_workers_; ++j) {
-      const uint64_t* aj = AttemptBits(j);
-      size_t common = 0;
-      for (size_t word = 0; word < words_per_worker_; ++word) {
-        common += static_cast<size_t>(std::popcount(ai[word] & aj[word]));
-      }
+      const size_t common =
+          util::AndPopcount(ai, AttemptBits(j), words_per_worker_);
       size_t agree = 0;
       for (size_t r = 0; r < arity_; ++r) {
-        const uint64_t* vi = ValueBits(i, r);
-        const uint64_t* vj = ValueBits(j, r);
-        for (size_t word = 0; word < words_per_worker_; ++word) {
-          agree += static_cast<size_t>(std::popcount(vi[word] & vj[word]));
-        }
+        agree += util::AndPopcount(ValueBits(i, r), ValueBits(j, r),
+                                   words_per_worker_);
       }
       pair_common_[Index(i, j)] = pair_common_[Index(j, i)] = common;
       pair_agree_[Index(i, j)] = pair_agree_[Index(j, i)] = agree;
@@ -111,14 +104,25 @@ Status OverlapIndex::ApplyResponse(WorkerId w, TaskId t,
 size_t OverlapIndex::TripleCommonCount(WorkerId i, WorkerId j,
                                        WorkerId k) const {
   CROWD_DCHECK(i < num_workers_ && j < num_workers_ && k < num_workers_);
-  const uint64_t* a = AttemptBits(i);
-  const uint64_t* b = AttemptBits(j);
-  const uint64_t* c = AttemptBits(k);
-  size_t count = 0;
-  for (size_t word = 0; word < words_per_worker_; ++word) {
-    count += static_cast<size_t>(std::popcount(a[word] & b[word] & c[word]));
+  return util::AndPopcount(AttemptBits(i), AttemptBits(j), AttemptBits(k),
+                           words_per_worker_);
+}
+
+void OverlapIndex::SharedAttemptRows(WorkerId i,
+                                     const std::vector<WorkerId>& peers,
+                                     std::vector<uint64_t>* rows) const {
+  CROWD_DCHECK(i < num_workers_);
+  rows->resize(peers.size() * words_per_worker_);
+  const uint64_t* ai = AttemptBits(i);
+  uint64_t* out = rows->data();
+  for (WorkerId p : peers) {
+    CROWD_DCHECK(p < num_workers_);
+    const uint64_t* ap = AttemptBits(p);
+    for (size_t word = 0; word < words_per_worker_; ++word) {
+      out[word] = ai[word] & ap[word];
+    }
+    out += words_per_worker_;
   }
-  return count;
 }
 
 }  // namespace crowd::data

@@ -10,9 +10,10 @@
 //   c_ij  = popcount(A_i & A_j)
 //   a_ij  = sum_r popcount(V_i^r & V_j^r)
 //   c_ijk = popcount(A_i & A_j & A_k)
-// process 64 tasks per instruction, replacing the per-cell
-// std::optional scan the construction used to run (O(m^2 n) cell
-// probes -> O(m^2 (k+1) n/64) word ANDs).
+// process 64 tasks per word through the AND-popcount kernels of
+// util/bitops.h (hardware POPCNT where the CPU has it), replacing the
+// per-cell std::optional scan the construction used to run
+// (O(m^2 n) cell probes -> O(m^2 (k+1) n/64) word ANDs).
 //
 // Once built, the index is immutable under evaluation: the estimators
 // only call the const accessors, which is what makes the worker-level
@@ -53,8 +54,22 @@ class OverlapIndex {
   /// q_ij estimate = agreements / common tasks; fails when c_ij == 0.
   Result<double> AgreementRate(WorkerId i, WorkerId j) const;
 
-  /// c_ijk: number of tasks attempted by all three workers. O(n/64).
+  /// c_ijk: number of tasks attempted by all three workers. Each call
+  /// ANDs three full rows of ceil(n/64) words, however sparse the
+  /// workers are; loops over many (j, k) for one i should use
+  /// SharedAttemptRows instead.
   size_t TripleCommonCount(WorkerId i, WorkerId j, WorkerId k) const;
+
+  /// Words per bitset row: ceil(n / 64).
+  size_t words_per_worker() const { return words_per_worker_; }
+
+  /// \brief The rows B_p = A_i & A_p, tasks attempted by both i and p,
+  /// one per entry of `peers` (repeats allowed), written row after row
+  /// into `rows` (resized to peers.size() * words_per_worker()). Then
+  /// c_{i,a,b} = util::AndPopcount(B_a, B_b, words_per_worker()): two
+  /// rows per triple count instead of three.
+  void SharedAttemptRows(WorkerId i, const std::vector<WorkerId>& peers,
+                         std::vector<uint64_t>* rows) const;
 
   /// Whether worker `w` attempted task `t` (O(1) bit probe).
   bool Attempted(WorkerId w, TaskId t) const {

@@ -6,13 +6,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "core/agreement.h"
 #include "core/m_worker.h"
 #include "core/three_worker.h"
 #include "core/triple_combiner.h"
 #include "core/triple_selection.h"
+#include "obs/metrics.h"
 #include "rng/random.h"
 #include "sim/simulator.h"
 
@@ -267,6 +271,204 @@ TEST(Combiner, OptimalWeightsNeverWorseThanUniform) {
     if (!a.ok() || !b.ok()) continue;
     EXPECT_LE(a->deviation, b->deviation + 1e-9);
   }
+}
+
+// ---- Lemma 4 covariance: bit identity with the per-visit formula ----
+
+// What the reference saw while recomputing one covariance matrix.
+struct ReferenceVisits {
+  size_t zero_triple = 0;  // visits with c_{i,a,b} == 0
+  size_t clamped = 0;      // visits whose q_{a,b} was clamped
+};
+
+// Lemma 4 as first written: one TripleCommonCount and one
+// ComputePairAgreement per visit, terms (j1,j1), (j1,j2), (j2,j1),
+// (j2,j2) summed in that order.
+linalg::Matrix ReferenceCovariance(const std::vector<TripleEstimate>& triples,
+                                   const data::OverlapIndex& overlap,
+                                   const BinaryOptions& options,
+                                   ReferenceVisits* visits) {
+  const size_t l = triples.size();
+  const data::WorkerId i = triples[0].i;
+  linalg::Matrix cov(l, l);
+  for (size_t k1 = 0; k1 < l; ++k1) {
+    cov(k1, k1) = triples[k1].deviation * triples[k1].deviation;
+    for (size_t k2 = k1 + 1; k2 < l; ++k2) {
+      const TripleEstimate& a = triples[k1];
+      const TripleEstimate& b = triples[k2];
+      double p_i = 0.5 * (a.p + b.p);
+      double sum = 0.0;
+      const std::pair<double, data::WorkerId> sa[] = {{a.d_i_j1, a.j1},
+                                                      {a.d_i_j2, a.j2}};
+      const std::pair<double, data::WorkerId> sb[] = {{b.d_i_j1, b.j1},
+                                                      {b.d_i_j2, b.j2}};
+      for (const auto& [d_a, j] : sa) {
+        for (const auto& [d_b, j_prime] : sb) {
+          double c = 0.0;
+          size_t c_triple = overlap.TripleCommonCount(i, j, j_prime);
+          if (c_triple == 0) {
+            ++visits->zero_triple;
+          } else {
+            auto q = ComputePairAgreement(overlap, j, j_prime,
+                                          options.min_agreement_margin);
+            EXPECT_TRUE(q.ok());
+            if (q->clamped) ++visits->clamped;
+            size_t c_ij = overlap.CommonCount(i, j);
+            size_t c_ij_prime = overlap.CommonCount(i, j_prime);
+            c = static_cast<double>(c_triple) * p_i * (1.0 - p_i) *
+                (2.0 * q->q - 1.0) /
+                (static_cast<double>(c_ij) * static_cast<double>(c_ij_prime));
+          }
+          sum += d_a * d_b * c;
+        }
+      }
+      cov(k1, k2) = cov(k2, k1) = sum;
+    }
+  }
+  return cov;
+}
+
+// Checks CrossTripleCovariance against the reference for up to ~25
+// workers of `matrix` (evenly strided) that have at least two triples;
+// returns what the reference saw. Clamped triples are kept so clamped
+// pairs reach the covariance.
+ReferenceVisits ExpectCovarianceBitIdentical(
+    const data::ResponseMatrix& matrix, const std::string& label) {
+  data::OverlapIndex overlap(matrix);
+  BinaryOptions options;
+  options.singularity = SingularityPolicy::kClampInflate;
+  ReferenceVisits visits;
+  size_t checked = 0;
+  const size_t stride = (matrix.num_workers() + 24) / 25;
+  for (data::WorkerId w = 0; w < matrix.num_workers(); w += stride) {
+    std::vector<TripleEstimate> triples;
+    for (const auto& [j1, j2] : GreedyPairs(overlap, w)) {
+      auto t = EvaluateTriple(overlap, w, j1, j2, options);
+      if (t.ok()) triples.push_back(std::move(*t));
+    }
+    if (triples.size() < 2) continue;
+    auto cov = CrossTripleCovariance(triples, overlap, options);
+    EXPECT_TRUE(cov.ok()) << label << " worker " << w;
+    if (!cov.ok()) continue;
+    linalg::Matrix expected =
+        ReferenceCovariance(triples, overlap, options, &visits);
+    for (size_t r = 0; r < triples.size(); ++r) {
+      for (size_t c = 0; c < triples.size(); ++c) {
+        const double got = (*cov)(r, c);
+        const double want = expected(r, c);
+        EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+            << label << " worker " << w << " entry (" << r << ", " << c
+            << "): " << got << " vs " << want;
+      }
+    }
+    ++checked;
+  }
+  EXPECT_GT(checked, 0u) << label;
+  return visits;
+}
+
+TEST(Covariance, BitIdenticalToPerVisitFormulaAcrossSimulatedCrowds) {
+  for (size_t m : {7, 40, 200}) {
+    for (double density : {0.1, 0.3, 0.5, 0.7, 0.9}) {
+      for (uint64_t seed : {1, 2, 3}) {
+        Random rng(seed * 1009 + m);
+        sim::BinarySimConfig config;
+        config.num_workers = m;
+        config.num_tasks = 150;
+        config.assignment = sim::AssignmentConfig::Iid(density);
+        auto sim = sim::SimulateBinary(config, &rng);
+        ExpectCovarianceBitIdentical(
+            sim.dataset.responses(),
+            "m=" + std::to_string(m) + " d=" + std::to_string(density) +
+                " seed=" + std::to_string(seed));
+      }
+    }
+  }
+}
+
+TEST(Covariance, BitIdenticalWithClampedPeerPairs) {
+  // Spammers near the 1/2 singularity clamp many peer-pair rates.
+  Random rng(5);
+  sim::BinarySimConfig config;
+  config.num_workers = 40;
+  config.num_tasks = 120;
+  config.pool.spammer_fraction = 0.4;
+  config.pool.spammer_lo = 0.48;
+  config.pool.spammer_hi = 0.6;
+  auto sim = sim::SimulateBinary(config, &rng);
+  ReferenceVisits visits =
+      ExpectCovarianceBitIdentical(sim.dataset.responses(), "spammers");
+  EXPECT_GT(visits.clamped, 0u);
+}
+
+TEST(Covariance, BitIdenticalWithZeroTripleCounts) {
+  // Worker 0 attempts every task; peers 1-4 only tasks 0-59 and peers
+  // 5-8 only tasks 60-119, so a triple of peers from one block shares
+  // no task with a peer from the other: c_{0,a,b} = 0.
+  data::ResponseMatrix matrix(9, 120, 2);
+  for (data::WorkerId w = 0; w < 9; ++w) {
+    const data::TaskId lo = w == 0 ? 0 : (w <= 4 ? 0 : 60);
+    const data::TaskId hi = w == 0 ? 120 : (w <= 4 ? 60 : 120);
+    for (data::TaskId t = lo; t < hi; ++t) {
+      // Truth is t % 2; worker w errs on tasks with t % 9 == w.
+      const bool wrong = t % 9 == w;
+      matrix.Set(w, t, static_cast<data::Response>((t % 2) ^ wrong))
+          .AbortIfNotOk();
+    }
+  }
+  ReferenceVisits visits = ExpectCovarianceBitIdentical(matrix, "blocks");
+  EXPECT_GT(visits.zero_triple, 0u);
+}
+
+// ---- The clamp counter ------------------------------------------------
+
+TEST(ClampCounter, CountsOncePerTriplePairRead) {
+  // Full density, truth t % 2. Workers 0-3 err on disjoint tenths of
+  // the tasks (q = 0.8 between them); worker 4 is always wrong, so
+  // every pair with worker 4 has q = 0.1 and is clamped.
+  constexpr size_t kWorkers = 5;
+  data::ResponseMatrix matrix(kWorkers, 100, 2);
+  for (data::WorkerId w = 0; w < kWorkers; ++w) {
+    for (data::TaskId t = 0; t < 100; ++t) {
+      const bool wrong = w == 4 || t % 10 == w;
+      matrix.Set(w, t, static_cast<data::Response>((t % 2) ^ wrong))
+          .AbortIfNotOk();
+    }
+  }
+  BinaryOptions options;
+  options.singularity = SingularityPolicy::kClampInflate;
+  // Each worker gets two triples. Worker 4's both read two clamped
+  // pairs; every other worker has one triple with worker 4, reading
+  // (w, 4) and (peer, 4). Lemma 4 also visits peer pairs with worker 4
+  // across triples, which must not count.
+  constexpr uint64_t kClampedReads = 2 * 2 + 4 * 2;
+  {
+    data::OverlapIndex overlap(matrix);
+    uint64_t enumerated = 0;
+    for (data::WorkerId w = 0; w < kWorkers; ++w) {
+      auto pairs = GreedyPairs(overlap, w);
+      ASSERT_EQ(pairs.size(), 2u);
+      for (const auto& [j1, j2] : pairs) {
+        for (auto [a, b] : {std::pair{w, j1}, std::pair{w, j2},
+                            std::pair{j1, j2}}) {
+          enumerated += ComputePairAgreement(overlap, a, b,
+                                             options.min_agreement_margin)
+                            ->clamped;
+        }
+      }
+    }
+    ASSERT_EQ(enumerated, kClampedReads);
+  }
+  obs::EnableMetrics();
+  // The first pass creates the counter with its own help text.
+  ASSERT_TRUE(MWorkerEvaluate(matrix, options).ok());
+  obs::Counter* clamped = obs::MetricsRegistry()->GetCounter(
+      "crowdeval_core_agreement_clamped_total", "");
+  const uint64_t before = clamped->Value();
+  ASSERT_TRUE(MWorkerEvaluate(matrix, options).ok());
+  const uint64_t delta = clamped->Value() - before;
+  obs::DisableMetrics();
+  EXPECT_EQ(delta, kClampedReads);
 }
 
 TEST(MWorker, FailsBelowThreeWorkers) {

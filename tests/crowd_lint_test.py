@@ -168,6 +168,39 @@ class RawByteReadRule(unittest.TestCase):
             [])
 
 
+class RawPopcountRule(unittest.TestCase):
+    def test_fires_on_std_and_builtin_popcount_in_src(self):
+        for snippet in ("n += std::popcount(a[w] & b[w]);",
+                        "n += __builtin_popcountll(a[w]);",
+                        "n += __builtin_popcount(mask);"):
+            self.assertEqual(
+                rules_firing("src/data/overlap_index.cc", snippet + "\n"),
+                ["raw-popcount"], snippet)
+
+    def test_bitops_is_exempt(self):
+        text = ("count += std::popcount(a[w] & b[w]);\n"
+                "count += __builtin_popcountll(a[w] & b[w]);\n")
+        self.assertEqual(rules_firing("src/util/bitops.cc", text), [])
+        self.assertEqual(rules_firing("src/util/bitops.h", text), [])
+
+    def test_out_of_scope_outside_src(self):
+        text = "sink += std::popcount(bits[i] ^ pass);\n"
+        self.assertEqual(rules_firing("perfbench/src/common.cc", text), [])
+        self.assertEqual(rules_firing("tests/util_bitops_test.cc", text), [])
+        self.assertEqual(rules_firing("bench/micro_core.cc", text), [])
+
+    def test_kernel_call_and_plain_identifier_are_clean(self):
+        text = ("size_t c = util::AndPopcount(a, b, words);\n"
+                "size_t popcount_total = c;\n")
+        self.assertEqual(rules_firing("src/core/triple_combiner.cc", text),
+                         [])
+
+    def test_waiver_suppresses(self):
+        text = ("int k = std::popcount(mask);  "
+                "// crowd-lint: allow(raw-popcount)\n")
+        self.assertEqual(rules_firing("src/core/counts_tensor.cc", text), [])
+
+
 class SpanNameRule(unittest.TestCase):
     def test_fires_on_nonconforming_names(self):
         for name in ("evaluate", "Core.Evaluate", "core.eval.deep",
