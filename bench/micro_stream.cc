@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 
 #include "obs/histogram.h"
@@ -103,7 +104,11 @@ int RunConfig(const Config& config, double* ingest_per_second) {
     eval_all_hist.Record(eval_all.ElapsedSeconds());
   }
 
-  server::ServiceStats stats = (*service)->stats();
+  const std::string stats = (*service)->ExecuteLine("STATS");
+  const std::string snapshots_key = "\"snapshots_written\":";
+  const unsigned long long snapshots = std::strtoull(
+      stats.c_str() + stats.find(snapshots_key) + snapshots_key.size(),
+      nullptr, 10);
   if (ingest_per_second != nullptr) {
     *ingest_per_second =
         static_cast<double>(kStreamResponses) / ingest_seconds;
@@ -117,7 +122,7 @@ int RunConfig(const Config& config, double* ingest_per_second) {
       eval_hist.Quantile(0.5) * 1e6, eval_hist.Quantile(0.99) * 1e6,
       eval_all_hist.Quantile(0.5) * 1e6,
       eval_all_hist.Quantile(0.99) * 1e6,
-      static_cast<unsigned long long>(stats.snapshots_written));
+      snapshots);
   std::fflush(stdout);
   return 0;
 }

@@ -2,12 +2,12 @@
 # One-command pre-push check: everything CI gates on that can run
 # locally, in the order that fails fastest.
 #
-#   scripts/check.sh            # lint + format + build + tests + tidy
+#   scripts/check.sh            # lint + build + tests + tidy
 #   scripts/check.sh --quick    # skip the build/test cycle (lint only)
 #
-# Steps that need a tool the machine lacks (clang-tidy, clang-format)
-# SKIP with a notice instead of failing — CI is the enforcing run for
-# those. Everything else failing here would fail CI too.
+# Steps that need a tool the machine lacks (clang, clang-tidy) SKIP
+# with a notice instead of failing — CI is the enforcing run for those.
+# Everything else failing here would fail CI too.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -33,7 +33,6 @@ step() {
 
 step "crowd-lint" python3 scripts/crowd_lint.py
 step "crowd-lint unit tests" python3 tests/crowd_lint_test.py
-step "format check (changed files)" scripts/check_format.sh
 
 # Bounded libFuzzer pass over the fuzz/ harnesses (CI: fuzz-smoke).
 # Needs clang for -fsanitize=fuzzer; without it the corpus replay in

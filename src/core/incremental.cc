@@ -6,18 +6,26 @@
 
 namespace crowd::core {
 
+IncrementalEvaluator::IncrementalEvaluator(data::ResponseMatrix responses,
+                                           BinaryOptions options)
+    : options_(options),
+      responses_(std::move(responses)),
+      overlap_(responses_),
+      dirty_epoch_(responses_.num_workers(), 1),
+      cached_epoch_(responses_.num_workers(), 0),
+      cache_(responses_.num_workers()) {
+  CROWD_DCHECK(responses_.arity() == 2);
+}
+
 IncrementalEvaluator::IncrementalEvaluator(size_t num_workers,
                                            size_t num_tasks,
                                            BinaryOptions options)
-    : options_(options),
-      responses_(num_workers, num_tasks, 2),
-      overlap_(responses_),
-      dirty_epoch_(num_workers, 1),
-      cached_epoch_(num_workers, 0),
-      cache_(num_workers) {}
+    : IncrementalEvaluator(data::ResponseMatrix(num_workers, num_tasks, 2),
+                           options) {}
 
 Status IncrementalEvaluator::AddResponse(data::WorkerId w, data::TaskId t,
-                                         data::Response response) {
+                                         data::Response response,
+                                         bool* changed) {
   // The daemon feeds this untrusted input; every argument is checked
   // here (not just in CROWD_DCHECK-guarded accessors) and the message
   // names the offending value so clients can act on the error.
@@ -38,10 +46,14 @@ Status IncrementalEvaluator::AddResponse(data::WorkerId w, data::TaskId t,
         response, w, t, responses_.arity()));
   }
   std::optional<data::Response> previous = responses_.Get(w, t);
-  if (previous.has_value() && *previous == response) return Status::OK();
+  if (previous.has_value() && *previous == response) {
+    if (changed != nullptr) *changed = false;
+    return Status::OK();
+  }
   CROWD_RETURN_NOT_OK(responses_.Set(w, t, response));
   CROWD_RETURN_NOT_OK(overlap_.ApplyResponse(w, t, previous));
   MarkTaskDirty(t, w);
+  if (changed != nullptr) *changed = true;
   return Status::OK();
 }
 

@@ -4,12 +4,18 @@
 // tasks get done."
 //
 // IncrementalEvaluator owns the growing response set and keeps the
-// pairwise agreement statistics up to date in O(m) per response
-// (instead of the O(m^2 n) rebuild a batch evaluation starts with).
+// pairwise agreement statistics up to date in O(m) per response.
 // Assessments are computed on demand from the current statistics and
 // memoized; a new response invalidates only the workers whose
 // evaluation can actually observe the changed statistics (see
 // MarkTaskDirty), tracked by a per-worker dirty epoch.
+//
+// It is also the one way binary evaluator state is built: a whole
+// matrix is indexed in bulk by the bitset constructor with every
+// worker stale, so batch evaluation (MWorkerEvaluate), snapshot
+// recovery and streaming all run through this class, and batch and
+// streaming agree by construction. Bulk and per-cell builds give the
+// same (integer) counts.
 
 #ifndef CROWD_CORE_INCREMENTAL_H_
 #define CROWD_CORE_INCREMENTAL_H_
@@ -29,8 +35,14 @@ namespace crowd::core {
 /// \brief Streaming evaluation over a fixed worker/task universe.
 class IncrementalEvaluator {
  public:
+  /// Takes over a binary (arity 2) `responses` matrix, indexes it in
+  /// bulk and leaves every worker stale. Further responses may arrive
+  /// for any cell, in any order.
+  explicit IncrementalEvaluator(data::ResponseMatrix responses,
+                                BinaryOptions options = {});
+
   /// A fixed pool of `num_workers` workers over `num_tasks` binary
-  /// tasks (responses may arrive for any cell, in any order).
+  /// tasks with no responses yet.
   IncrementalEvaluator(size_t num_workers, size_t num_tasks,
                        BinaryOptions options = {});
 
@@ -44,9 +56,11 @@ class IncrementalEvaluator {
   /// previous response). O(m). Untrusted input is fully validated
   /// before any state changes: an out-of-range worker/task id or a
   /// response outside [0, arity) returns Status::Invalid naming the
-  /// offending value, and the evaluator is left untouched.
+  /// offending value, and the evaluator is left untouched. On success
+  /// `*changed` (when non-null) is set to whether the cell really
+  /// changed: false for an identical re-submission.
   Status AddResponse(data::WorkerId w, data::TaskId t,
-                     data::Response response);
+                     data::Response response, bool* changed = nullptr);
 
   /// Number of responses recorded so far.
   size_t TotalResponses() const { return responses_.TotalResponses(); }

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "core/incremental.h"
 #include "core/three_worker.h"
 #include "core/triple_combiner.h"
 #include "core/triple_selection.h"
@@ -87,11 +88,7 @@ Result<MWorkerResult> MWorkerEvaluate(const data::ResponseMatrix& responses,
         "MWorkerEvaluate requires at least 3 workers, got %zu",
         responses.num_workers()));
   }
-  data::OverlapIndex overlap(responses);
-  // Each worker's evaluation reads only the immutable overlap index.
-  return EvaluatePool<WorkerAssessment>(
-      responses.num_workers(), options.num_threads,
-      [&](data::WorkerId w) { return EvaluateWorker(overlap, w, options); });
+  return IncrementalEvaluator(responses, options).EvaluateAll();
 }
 
 }  // namespace crowd::core

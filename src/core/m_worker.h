@@ -24,7 +24,9 @@ Result<WorkerAssessment> EvaluateWorker(const data::OverlapIndex& overlap,
 using MWorkerResult = PoolResult<WorkerAssessment>;
 
 /// \brief Evaluates every worker of a binary (possibly non-regular)
-/// dataset. Requires at least 3 workers.
+/// dataset. Requires at least 3 workers. This is an
+/// IncrementalEvaluator built in bulk from `responses`, with every
+/// worker stale, so batch and streaming evaluation share one path.
 Result<MWorkerResult> MWorkerEvaluate(const data::ResponseMatrix& responses,
                                       const BinaryOptions& options);
 

@@ -40,10 +40,8 @@ Service::Service(ServiceOptions options) : options_(std::move(options)) {
                           "worker assessments recomputed");
   counters_.eval_all_runs = metrics_.GetCounter(
       "crowdeval_server_eval_all_runs_total", "EVAL_ALL commands run");
-  counters_.eval_seconds = metrics_.GetHistogram(
-      "crowdeval_server_eval_seconds",
-      "wall time of EVAL and EVAL_ALL evaluator calls",
-      obs::Histogram::LatencyBounds());
+  counters_.eval_command_seconds = CommandSeconds("EVAL");
+  counters_.eval_all_command_seconds = CommandSeconds("EVAL_ALL");
   counters_.snapshots_written =
       metrics_.GetCounter("crowdeval_server_snapshots_written_total",
                           "snapshots written by this service");
@@ -168,26 +166,16 @@ Status Service::Recover() {
         "num_workers and num_tasks are required for a fresh service");
   }
 
-  evaluator_ = std::make_unique<core::IncrementalEvaluator>(
-      num_workers, num_tasks, options_.binary);
-
-  // 1. Snapshot image.
+  // 1. Snapshot image, indexed in bulk (an empty matrix without one).
+  data::ResponseMatrix image(num_workers, num_tasks, 2);
   if (snapshot.has_value()) {
-    CROWD_ASSIGN_OR_RETURN(data::ResponseMatrix matrix,
-                           snapshot->ToMatrix());
-    for (data::WorkerId w = 0; w < num_workers; ++w) {
-      for (data::TaskId t = 0; t < num_tasks; ++t) {
-        auto r = matrix.Get(w, t);
-        if (!r.has_value()) continue;
-        CROWD_RETURN_NOT_OK(
-            evaluator_->AddResponse(w, t, *r).WithContext(
-                "replaying snapshot"));
-      }
-    }
+    CROWD_ASSIGN_OR_RETURN(image, snapshot->ToMatrix());
     last_seq_ = snapshot->applied_seq;
     counters_.snapshot_seq->Set(
         static_cast<int64_t>(snapshot->applied_seq));
   }
+  evaluator_ = std::make_unique<core::IncrementalEvaluator>(
+      std::move(image), options_.binary);
 
   // 2. Journal tail. Records at or below the snapshot's seq are
   // already part of the image (a crash between snapshot write and
@@ -202,9 +190,8 @@ Status Service::Recover() {
     }
     for (const JournalRecord& record : tail) {
       if (record.seq <= last_seq_) continue;
-      bool changed = false;
       CROWD_RETURN_NOT_OK(
-          Apply(record.worker, record.task, record.value, &changed)
+          evaluator_->AddResponse(record.worker, record.task, record.value)
               .WithContext(StrFormat(
                   "replaying journal seq %llu",
                   static_cast<unsigned long long>(record.seq))));
@@ -232,24 +219,11 @@ Status Service::Recover() {
   return Status::OK();
 }
 
-Status Service::Apply(data::WorkerId worker, data::TaskId task,
-                      data::Response value, bool* changed) {
-  const data::ResponseMatrix& matrix = evaluator_->responses();
-  *changed = false;
-  if (worker < matrix.num_workers() && task < matrix.num_tasks()) {
-    std::optional<data::Response> previous = matrix.Get(worker, task);
-    *changed = !(previous.has_value() && *previous == value);
-  }
-  Status st = evaluator_->AddResponse(worker, task, value);
-  if (!st.ok()) *changed = false;
-  return st;
-}
-
 Status Service::Ingest(data::WorkerId worker, data::TaskId task,
                        data::Response value, uint64_t* seq) {
   util::MutexLock lock(mu_);
   bool changed = false;
-  Status st = Apply(worker, task, value, &changed);
+  Status st = evaluator_->AddResponse(worker, task, value, &changed);
   if (!st.ok()) {
     counters_.rejected->Increment();
     return st;
@@ -289,18 +263,14 @@ Status Service::Ingest(data::WorkerId worker, data::TaskId task,
 
 Result<core::WorkerAssessment> Service::Evaluate(data::WorkerId worker) {
   util::MutexLock lock(mu_);
-  const bool cached = evaluator_->IsCached(worker);
-  Stopwatch timer;
-  Result<core::WorkerAssessment> result = evaluator_->Evaluate(worker);
-  const double seconds = timer.ElapsedSeconds();
-  if (cached) {
-    counters_.cache_hits->Increment();
-  } else {
-    counters_.cache_misses->Increment();
+  // Evaluate rejects an out-of-range id without touching the cache, so
+  // it counts as neither a hit nor a miss.
+  if (worker < NumWorkersLocked()) {
+    (evaluator_->IsCached(worker) ? counters_.cache_hits
+                                  : counters_.cache_misses)
+        ->Increment();
   }
-  counters_.eval_seconds->Record(seconds);
-  last_eval_micros_.store(seconds * 1e6, std::memory_order_relaxed);
-  return result;
+  return evaluator_->Evaluate(worker);
 }
 
 core::MWorkerResult Service::EvaluateAll() {
@@ -308,13 +278,8 @@ core::MWorkerResult Service::EvaluateAll() {
   const size_t dirty = evaluator_->DirtyWorkerCount();
   counters_.cache_misses->Increment(dirty);
   counters_.cache_hits->Increment(NumWorkersLocked() - dirty);
-  Stopwatch timer;
-  core::MWorkerResult result = evaluator_->EvaluateAll();
-  const double seconds = timer.ElapsedSeconds();
   counters_.eval_all_runs->Increment();
-  counters_.eval_seconds->Record(seconds);
-  last_eval_micros_.store(seconds * 1e6, std::memory_order_relaxed);
-  return result;
+  return evaluator_->EvaluateAll();
 }
 
 Result<uint64_t> Service::TakeSnapshot() {
@@ -360,28 +325,6 @@ Result<uint64_t> Service::TakeSnapshotLocked() {
     }
   }
   return last_seq_;
-}
-
-ServiceStats Service::stats() const {
-  ServiceStats out;
-  out.responses_ingested = counters_.ingested->Value();
-  out.responses_noop = counters_.noop->Value();
-  out.responses_rejected = counters_.rejected->Value();
-  out.eval_cache_hits = counters_.cache_hits->Value();
-  out.eval_cache_misses = counters_.cache_misses->Value();
-  out.eval_all_runs = counters_.eval_all_runs->Value();
-  out.eval_micros_total = counters_.eval_seconds->Snapshot().sum() * 1e6;
-  out.last_eval_micros = last_eval_micros_.load(std::memory_order_relaxed);
-  out.journal_bytes =
-      static_cast<uint64_t>(counters_.journal_bytes->Value());
-  out.journal_records =
-      static_cast<uint64_t>(counters_.journal_records->Value());
-  out.snapshots_written = counters_.snapshots_written->Value();
-  out.snapshot_seq = static_cast<uint64_t>(counters_.snapshot_seq->Value());
-  out.recovered_records = counters_.recovered_records->Value();
-  out.recovery_truncated_bytes =
-      counters_.recovery_truncated_bytes->Value();
-  return out;
 }
 
 std::string Service::MetricsExposition() const {
@@ -446,16 +389,14 @@ const char* CommandName(CommandType type) {
 
 }  // namespace
 
-void Service::RecordCommand(std::string_view verb, double seconds) {
+obs::HistogramMetric* Service::CommandSeconds(std::string_view verb) {
   // One labeled series per verb; GetHistogram returns the existing
   // series after the first call, so the per-command cost is one map
   // lookup under the registry mutex — negligible next to command work.
-  metrics_
-      .GetHistogram("crowdeval_server_command_seconds",
-                    "wall time of one protocol command",
-                    obs::Histogram::LatencyBounds(), "command",
-                    std::string(verb))
-      ->Record(seconds);
+  return metrics_.GetHistogram("crowdeval_server_command_seconds",
+                               "wall time of one protocol command",
+                               obs::Histogram::LatencyBounds(), "command",
+                               std::string(verb));
 }
 
 std::string Service::ExecuteLine(std::string_view line, bool* quit) {
@@ -464,7 +405,7 @@ std::string Service::ExecuteLine(std::string_view line, bool* quit) {
   if (!cmd.ok()) return ErrorJson(cmd.status());
   Stopwatch timer;
   std::string reply = HandleCommand(*cmd, quit);
-  RecordCommand(CommandName(cmd->type), timer.ElapsedSeconds());
+  CommandSeconds(CommandName(cmd->type))->Record(timer.ElapsedSeconds());
   return reply;
 }
 
@@ -504,7 +445,10 @@ std::string Service::HandleCommand(const Command& cmd, bool* quit) {
       return out;
     }
     case CommandType::kStats: {
-      const ServiceStats snapshot = stats();
+      const double eval_micros_total =
+          (counters_.eval_command_seconds->Snapshot().sum() +
+           counters_.eval_all_command_seconds->Snapshot().sum()) *
+          1e6;
       util::MutexLock lock(mu_);
       return StrFormat(
           "{\"ok\":true,\"stats\":{"
@@ -514,32 +458,31 @@ std::string Service::HandleCommand(const Command& cmd, bool* quit) {
           "\"responses_ingested\":%llu,\"responses_noop\":%llu,"
           "\"responses_rejected\":%llu,"
           "\"eval_cache_hits\":%llu,\"eval_cache_misses\":%llu,"
-          "\"eval_all_runs\":%llu,"
-          "\"eval_micros_total\":%s,\"last_eval_micros\":%s,"
-          "\"journal_bytes\":%llu,\"journal_records\":%llu,"
-          "\"snapshots_written\":%llu,\"snapshot_seq\":%llu,"
+          "\"eval_all_runs\":%llu,\"eval_micros_total\":%s,"
+          "\"journal_bytes\":%lld,\"journal_records\":%lld,"
+          "\"snapshots_written\":%llu,\"snapshot_seq\":%lld,"
           "\"recovered_records\":%llu,"
           "\"recovery_truncated_bytes\":%llu}}",
-          evaluator_->responses().num_workers(),
-          evaluator_->responses().num_tasks(),
+          NumWorkersLocked(), NumTasksLocked(),
           evaluator_->TotalResponses(),
           static_cast<unsigned long long>(last_seq_),
           evaluator_->DirtyWorkerCount(),
-          static_cast<unsigned long long>(snapshot.responses_ingested),
-          static_cast<unsigned long long>(snapshot.responses_noop),
-          static_cast<unsigned long long>(snapshot.responses_rejected),
-          static_cast<unsigned long long>(snapshot.eval_cache_hits),
-          static_cast<unsigned long long>(snapshot.eval_cache_misses),
-          static_cast<unsigned long long>(snapshot.eval_all_runs),
-          JsonDouble(snapshot.eval_micros_total).c_str(),
-          JsonDouble(snapshot.last_eval_micros).c_str(),
-          static_cast<unsigned long long>(snapshot.journal_bytes),
-          static_cast<unsigned long long>(snapshot.journal_records),
-          static_cast<unsigned long long>(snapshot.snapshots_written),
-          static_cast<unsigned long long>(snapshot.snapshot_seq),
-          static_cast<unsigned long long>(snapshot.recovered_records),
+          static_cast<unsigned long long>(counters_.ingested->Value()),
+          static_cast<unsigned long long>(counters_.noop->Value()),
+          static_cast<unsigned long long>(counters_.rejected->Value()),
+          static_cast<unsigned long long>(counters_.cache_hits->Value()),
+          static_cast<unsigned long long>(counters_.cache_misses->Value()),
+          static_cast<unsigned long long>(counters_.eval_all_runs->Value()),
+          JsonDouble(eval_micros_total).c_str(),
+          static_cast<long long>(counters_.journal_bytes->Value()),
+          static_cast<long long>(counters_.journal_records->Value()),
           static_cast<unsigned long long>(
-              snapshot.recovery_truncated_bytes));
+              counters_.snapshots_written->Value()),
+          static_cast<long long>(counters_.snapshot_seq->Value()),
+          static_cast<unsigned long long>(
+              counters_.recovered_records->Value()),
+          static_cast<unsigned long long>(
+              counters_.recovery_truncated_bytes->Value()));
     }
     case CommandType::kMetrics:
       return MetricsExposition();
@@ -547,9 +490,9 @@ std::string Service::HandleCommand(const Command& cmd, bool* quit) {
       Result<uint64_t> seq = TakeSnapshot();
       if (!seq.ok()) return ErrorJson(seq.status());
       return StrFormat(
-          "{\"ok\":true,\"snapshot_seq\":%llu,\"journal_bytes\":%llu}",
+          "{\"ok\":true,\"snapshot_seq\":%llu,\"journal_bytes\":%lld}",
           static_cast<unsigned long long>(*seq),
-          static_cast<unsigned long long>(stats().journal_bytes));
+          static_cast<long long>(counters_.journal_bytes->Value()));
     }
     case CommandType::kQuit:
       if (quit != nullptr) *quit = true;

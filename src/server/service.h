@@ -17,14 +17,16 @@
 // `fsync_each_append` to also survive power loss at a heavy latency
 // cost. Recovery sequence (Service::Open with a data_dir):
 //   1. newest snapshot whose checksum validates -> response matrix,
+//      indexed in bulk by IncrementalEvaluator's matrix constructor
+//      (an empty matrix when there is no snapshot),
 //   2. journal records with seq > snapshot.applied_seq replayed in
-//      order (a torn tail is truncated, never replayed),
+//      order through AddResponse (a torn tail is truncated, never
+//      replayed),
 //   3. fresh journal/snapshot files created when the directory is new.
 
 #ifndef CROWD_SERVER_SERVICE_H_
 #define CROWD_SERVER_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -68,26 +70,6 @@ struct ServiceOptions {
   std::string trace_out;
 };
 
-/// \brief Monotonic counters exposed by the STATS command. This is a
-/// point-in-time view assembled from the service's metric registry;
-/// the registry's lock-free counters are the source of truth.
-struct ServiceStats {
-  uint64_t responses_ingested = 0;  ///< accepted RESP (incl. overwrites)
-  uint64_t responses_noop = 0;      ///< identical re-submissions
-  uint64_t responses_rejected = 0;  ///< out-of-range ids/values
-  uint64_t eval_cache_hits = 0;     ///< workers served from cache
-  uint64_t eval_cache_misses = 0;   ///< workers re-evaluated
-  uint64_t eval_all_runs = 0;
-  double eval_micros_total = 0.0;   ///< summed EVAL/EVAL_ALL latency
-  double last_eval_micros = 0.0;
-  uint64_t journal_bytes = 0;
-  uint64_t journal_records = 0;     ///< records in the current file
-  uint64_t snapshots_written = 0;
-  uint64_t snapshot_seq = 0;        ///< seq covered by latest snapshot
-  uint64_t recovered_records = 0;   ///< journal tail replayed at Open
-  uint64_t recovery_truncated_bytes = 0;  ///< torn tail dropped at Open
-};
-
 /// \brief The in-process assessment service (the daemon minus sockets).
 class Service {
  public:
@@ -121,7 +103,6 @@ class Service {
   /// superseded snapshots. Returns the covered seq.
   Result<uint64_t> TakeSnapshot() CROWD_EXCLUDES(mu_);
 
-  ServiceStats stats() const;
   /// Seq of the last accepted response (0 before any).
   uint64_t last_seq() const CROWD_EXCLUDES(mu_);
   size_t num_workers() const CROWD_EXCLUDES(mu_);
@@ -140,8 +121,8 @@ class Service {
   std::string MetricsExposition() const;
 
  private:
-  /// Lock-free registry handles for the STATS counters; resolved once
-  /// at construction.
+  /// Lock-free registry handles, resolved once at construction. STATS
+  /// and the SNAPSHOT reply read them directly.
   struct Counters {
     obs::Counter* ingested;
     obs::Counter* noop;
@@ -149,7 +130,10 @@ class Service {
     obs::Counter* cache_hits;
     obs::Counter* cache_misses;
     obs::Counter* eval_all_runs;
-    obs::HistogramMetric* eval_seconds;
+    /// The EVAL and EVAL_ALL series of crowdeval_server_command_seconds;
+    /// STATS reports their summed time as eval_micros_total.
+    obs::HistogramMetric* eval_command_seconds;
+    obs::HistogramMetric* eval_all_command_seconds;
     obs::Counter* snapshots_written;
     obs::Counter* recovered_records;
     obs::Counter* recovery_truncated_bytes;
@@ -161,21 +145,17 @@ class Service {
   explicit Service(ServiceOptions options);
 
   Status Recover() CROWD_REQUIRES(mu_);
-  /// Ingest without journaling — used for journal replay.
-  Status Apply(data::WorkerId worker, data::TaskId task,
-               data::Response value, bool* changed) CROWD_REQUIRES(mu_);
   std::string HandleCommand(const Command& cmd, bool* quit)
       CROWD_EXCLUDES(mu_);
   Result<uint64_t> TakeSnapshotLocked() CROWD_REQUIRES(mu_);
   size_t NumWorkersLocked() const CROWD_REQUIRES(mu_);
   size_t NumTasksLocked() const CROWD_REQUIRES(mu_);
-  /// Records one executed command on the per-command latency series.
-  void RecordCommand(std::string_view verb, double seconds);
+  /// The per-command latency series of `verb`.
+  obs::HistogramMetric* CommandSeconds(std::string_view verb);
 
   ServiceOptions options_;
   obs::Registry metrics_;
   Counters counters_;
-  std::atomic<double> last_eval_micros_{0.0};
 
   mutable util::Mutex mu_;
   std::unique_ptr<core::IncrementalEvaluator> evaluator_

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "core/incremental.h"
 #include "core/m_worker.h"
@@ -202,6 +205,102 @@ TEST(Incremental, ResponseToSharedTaskDirtiesObservers) {
   for (size_t i = 0; i < streaming.assessments.size(); ++i) {
     EXPECT_EQ(streaming.assessments[i].error_rate,
               batch->assessments[i].error_rate);
+  }
+}
+
+// A matrix bulk-built into an evaluator must give exactly the state of
+// one fed the same final cells one at a time (with overwrites along the
+// way): the same pair, attempt and triple counts, every worker stale,
+// and bit-identical assessments.
+TEST(Incremental, BulkBuildEqualsPerCellBuild) {
+  constexpr size_t kTasks = 80;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (double density : {0.1, 0.3, 0.5, 0.7, 0.9}) {
+      for (size_t m : {size_t{3}, size_t{7}, size_t{40}}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " density "
+                                        << density << " m " << m);
+        Random rng(seed);
+        std::vector<data::Response> truth(kTasks);
+        for (auto& label : truth) label = rng.Bernoulli(0.5) ? 1 : 0;
+        data::ResponseMatrix matrix(m, kTasks, 2);
+        std::vector<std::pair<data::WorkerId, data::TaskId>> cells;
+        for (data::WorkerId w = 0; w < m; ++w) {
+          const double error = rng.Uniform(0.1, 0.35);
+          for (data::TaskId t = 0; t < kTasks; ++t) {
+            if (!rng.Bernoulli(density)) continue;
+            const data::Response r =
+                rng.Bernoulli(error) ? 1 - truth[t] : truth[t];
+            ASSERT_TRUE(matrix.Set(w, t, r).ok());
+            cells.emplace_back(w, t);
+          }
+        }
+
+        IncrementalEvaluator per_cell(m, kTasks);
+        rng.Shuffle(&cells);
+        for (const auto& [w, t] : cells) {
+          const data::Response r = *matrix.Get(w, t);
+          bool changed = false;
+          if (rng.Bernoulli(0.3)) {  // overwritten later
+            ASSERT_TRUE(per_cell.AddResponse(w, t, 1 - r, &changed).ok());
+            EXPECT_TRUE(changed);
+          }
+          ASSERT_TRUE(per_cell.AddResponse(w, t, r, &changed).ok());
+          EXPECT_TRUE(changed);
+        }
+        if (!cells.empty()) {
+          const auto& [w, t] = cells.front();
+          bool changed = true;
+          ASSERT_TRUE(per_cell.AddResponse(w, t, *matrix.Get(w, t), &changed)
+                          .ok());
+          EXPECT_FALSE(changed);
+        }
+        IncrementalEvaluator bulk(matrix);
+        EXPECT_EQ(bulk.DirtyWorkerCount(), m);
+        EXPECT_EQ(bulk.TotalResponses(), per_cell.TotalResponses());
+
+        const data::OverlapIndex& a = bulk.overlap();
+        const data::OverlapIndex& b = per_cell.overlap();
+        for (data::WorkerId i = 0; i < m; ++i) {
+          for (data::WorkerId j = 0; j < m; ++j) {
+            ASSERT_EQ(a.CommonCount(i, j), b.CommonCount(i, j));
+            ASSERT_EQ(a.AgreementCount(i, j), b.AgreementCount(i, j));
+          }
+          for (data::TaskId t = 0; t < kTasks; ++t) {
+            ASSERT_EQ(a.Attempted(i, t), b.Attempted(i, t));
+          }
+        }
+        for (int k = 0; k < 200; ++k) {
+          const data::WorkerId i = rng.UniformInt(m);
+          const data::WorkerId j = rng.UniformInt(m);
+          const data::WorkerId l = rng.UniformInt(m);
+          ASSERT_EQ(a.TripleCommonCount(i, j, l),
+                    b.TripleCommonCount(i, j, l));
+        }
+
+        const MWorkerResult x = bulk.EvaluateAll();
+        const MWorkerResult y = per_cell.EvaluateAll();
+        ASSERT_EQ(x.assessments.size(), y.assessments.size());
+        for (size_t i = 0; i < x.assessments.size(); ++i) {
+          const WorkerAssessment& p = x.assessments[i];
+          const WorkerAssessment& q = y.assessments[i];
+          EXPECT_EQ(p.worker, q.worker);
+          EXPECT_EQ(p.num_triples, q.num_triples);
+          EXPECT_EQ(p.any_clamped, q.any_clamped);
+          const double px[] = {p.error_rate, p.deviation, p.interval.lo,
+                               p.interval.hi, p.interval.confidence};
+          const double qx[] = {q.error_rate, q.deviation, q.interval.lo,
+                               q.interval.hi, q.interval.confidence};
+          EXPECT_EQ(std::memcmp(px, qx, sizeof(px)), 0)
+              << "worker " << p.worker;
+        }
+        ASSERT_EQ(x.failures.size(), y.failures.size());
+        for (size_t i = 0; i < x.failures.size(); ++i) {
+          EXPECT_EQ(x.failures[i].first, y.failures[i].first);
+          EXPECT_EQ(x.failures[i].second.ToString(),
+                    y.failures[i].second.ToString());
+        }
+      }
+    }
   }
 }
 

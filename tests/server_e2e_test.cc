@@ -18,6 +18,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <set>
 #include <sstream>
 #include <string>
@@ -278,10 +279,17 @@ TEST(CrowdevaldE2eTest, StreamCrashRecoverBitIdentical) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
-// Checks one Prometheus exposition line: comment, blank, or
-// `name[{labels}] value`.
+// Checks one Prometheus exposition line: blank, `# HELP <name> <text>`,
+// `# TYPE <name> counter|gauge|histogram`, or `name[{labels}] value`.
+// The caller checks that the `# EOF` terminator comes last.
 bool IsValidExpositionLine(const std::string& line) {
-  if (line.empty() || line[0] == '#') return true;
+  if (line.empty()) return true;
+  if (line[0] == '#') {
+    static const std::regex kComment(
+        "# (HELP [a-zA-Z_:][a-zA-Z0-9_:]* .+|"
+        "TYPE [a-zA-Z_:][a-zA-Z0-9_:]* (counter|gauge|histogram))");
+    return std::regex_match(line, kComment);
+  }
   size_t space = line.rfind(' ');
   if (space == std::string::npos || space == 0 ||
       space + 1 >= line.size()) {
@@ -363,6 +371,7 @@ TEST(CrowdevaldE2eTest, MetricsExpositionAndChromeTrace) {
       if (eol == std::string::npos) eol = text.size();
       std::string line = text.substr(start, eol - start);
       start = eol + 1;
+      EXPECT_FALSE(saw_eof) << "content after # EOF: " << line;
       if (line == "# EOF") {
         saw_eof = true;
         continue;

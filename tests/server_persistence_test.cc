@@ -17,6 +17,7 @@
 #include "server/protocol.h"
 #include "server/service.h"
 #include "server/snapshot.h"
+#include "stats_reply.h"
 
 namespace crowd::server {
 namespace {
@@ -376,7 +377,9 @@ TEST(ServiceRecoveryTest, RandomStreamsRecoverBitIdentical) {
     }
     const std::string expected = EvalAllJson(service->get());
     const uint64_t expected_seq = (*service)->last_seq();
-    EXPECT_GT((*service)->stats().snapshots_written, 1u);
+    EXPECT_GT(
+        StatField((*service)->ExecuteLine("STATS"), "snapshots_written"),
+        1u);
     service->reset();  // "crash": no final snapshot
 
     ServiceOptions recover;
@@ -428,9 +431,10 @@ TEST(ServiceRecoveryTest, TornJournalTailRollsBackOneResponse) {
   auto recovered = Service::Open(recover);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ((*recovered)->last_seq(), stream.size() - 1);
-  EXPECT_EQ((*recovered)->stats().recovery_truncated_bytes,
+  const std::string stats = (*recovered)->ExecuteLine("STATS");
+  EXPECT_EQ(StatField(stats, "recovery_truncated_bytes"),
             Journal::kRecordBytes - 7);
-  EXPECT_EQ((*recovered)->stats().recovered_records, stream.size() - 1);
+  EXPECT_EQ(StatField(stats, "recovered_records"), stream.size() - 1);
 
   core::IncrementalEvaluator prefix(kWorkers, kTasks);
   for (size_t i = 0; i + 1 < stream.size(); ++i) {

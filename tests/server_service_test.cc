@@ -16,6 +16,7 @@
 #include "gtest/gtest.h"
 #include "rng/random.h"
 #include "server/protocol.h"
+#include "stats_reply.h"
 
 namespace crowd::server {
 namespace {
@@ -63,10 +64,10 @@ TEST(ServiceTest, RespAcksWithSequenceNumber) {
   // Overwriting with a different value is a new accepted response.
   EXPECT_EQ(service->ExecuteLine("RESP 1 0 1"), "{\"ok\":true,\"seq\":3}");
 
-  ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.responses_ingested, 3u);
-  EXPECT_EQ(stats.responses_noop, 1u);
-  EXPECT_EQ(stats.responses_rejected, 0u);
+  const std::string stats = service->ExecuteLine("STATS");
+  EXPECT_EQ(StatField(stats, "responses_ingested"), 3u);
+  EXPECT_EQ(StatField(stats, "responses_noop"), 1u);
+  EXPECT_EQ(StatField(stats, "responses_rejected"), 0u);
 }
 
 TEST(ServiceTest, RespRejectionNamesTheOffendingId) {
@@ -80,7 +81,8 @@ TEST(ServiceTest, RespRejectionNamesTheOffendingId) {
             std::string::npos);
   reply = service->ExecuteLine("RESP 0 0 5");
   EXPECT_NE(reply.find("response 5"), std::string::npos);
-  EXPECT_EQ(service->stats().responses_rejected, 3u);
+  EXPECT_EQ(StatField(service->ExecuteLine("STATS"), "responses_rejected"),
+            3u);
   EXPECT_EQ(service->last_seq(), 0u);
 }
 
@@ -112,18 +114,30 @@ TEST(ServiceTest, EvalTracksCacheHitsAndMisses) {
   // triple) is data-dependent; either way the result is computed once
   // and memoized.
   service->ExecuteLine("EVAL 2");
-  EXPECT_EQ(service->stats().eval_cache_misses, 1u);
-  EXPECT_EQ(service->stats().eval_cache_hits, 0u);
+  std::string stats = service->ExecuteLine("STATS");
+  EXPECT_EQ(StatField(stats, "eval_cache_misses"), 1u);
+  EXPECT_EQ(StatField(stats, "eval_cache_hits"), 0u);
 
   service->ExecuteLine("EVAL 2");  // memoized now
-  EXPECT_EQ(service->stats().eval_cache_hits, 1u);
+  EXPECT_EQ(StatField(service->ExecuteLine("STATS"), "eval_cache_hits"), 1u);
 
   // Flip (2, 0) to the opposite value: a real change, so worker 2's
   // cached assessment is invalidated.
   int flipped = 1 - *matrix.Get(2, 0);
   service->ExecuteLine("RESP 2 0 " + std::to_string(flipped));
   service->ExecuteLine("EVAL 2");
-  EXPECT_EQ(service->stats().eval_cache_misses, 2u);
+  EXPECT_EQ(StatField(service->ExecuteLine("STATS"), "eval_cache_misses"),
+            2u);
+}
+
+TEST(ServiceTest, RejectedEvalTouchesNoCacheCounter) {
+  auto service = OpenInMemory(6, 12);
+  FillDense(service.get(), 6, 12, 7);
+  const std::string reply = service->ExecuteLine("EVAL 99");
+  EXPECT_NE(reply.find("\"ok\":false"), std::string::npos) << reply;
+  const std::string stats = service->ExecuteLine("STATS");
+  EXPECT_EQ(StatField(stats, "eval_cache_hits"), 0u);
+  EXPECT_EQ(StatField(stats, "eval_cache_misses"), 0u);
 }
 
 TEST(ServiceTest, EvalAllBatchesWritesBetweenEvaluations) {
@@ -144,18 +158,19 @@ TEST(ServiceTest, EvalAllBatchesWritesBetweenEvaluations) {
   }
 
   service->ExecuteLine("EVAL_ALL");
-  ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.eval_all_runs, 1u);
-  EXPECT_EQ(stats.eval_cache_misses, kWorkers);
+  std::string stats = service->ExecuteLine("STATS");
+  EXPECT_EQ(StatField(stats, "eval_all_runs"), 1u);
+  EXPECT_EQ(StatField(stats, "eval_cache_misses"), kWorkers);
 
   // A burst of writes in the first clique is absorbed by one pass;
   // the second clique's workers are served from cache.
   service->ExecuteLine("RESP 0 0 0");
   service->ExecuteLine("RESP 0 0 1");  // guaranteed change vs previous line
   service->ExecuteLine("EVAL_ALL");
-  stats = service->stats();
-  EXPECT_EQ(stats.eval_all_runs, 2u);
-  EXPECT_GE(stats.eval_cache_hits, 3u) << "second clique stayed cached";
+  stats = service->ExecuteLine("STATS");
+  EXPECT_EQ(StatField(stats, "eval_all_runs"), 2u);
+  EXPECT_GE(StatField(stats, "eval_cache_hits"), 3u)
+      << "second clique stayed cached";
 }
 
 TEST(ServiceTest, StatsReportsCountersAsJson) {
@@ -211,16 +226,17 @@ TEST(ServiceTest, SnapshotCommandCompactsJournal) {
         "RESP " + std::to_string(i % 5) + " " + std::to_string(i / 5) +
         " 1");
   }
-  ServiceStats before = (*service)->stats();
-  EXPECT_EQ(before.journal_records, 10u);
+  const std::string before = (*service)->ExecuteLine("STATS");
+  EXPECT_EQ(StatField(before, "journal_records"), 10u);
 
   std::string reply = (*service)->ExecuteLine("SNAPSHOT");
   EXPECT_EQ(reply.find("{\"ok\":true,\"snapshot_seq\":10,"), 0u) << reply;
-  ServiceStats after = (*service)->stats();
-  EXPECT_EQ(after.journal_records, 0u);
-  EXPECT_EQ(after.snapshot_seq, 10u);
-  EXPECT_EQ(after.snapshots_written, 1u);
-  EXPECT_LT(after.journal_bytes, before.journal_bytes);
+  const std::string after = (*service)->ExecuteLine("STATS");
+  EXPECT_EQ(StatField(after, "journal_records"), 0u);
+  EXPECT_EQ(StatField(after, "snapshot_seq"), 10u);
+  EXPECT_EQ(StatField(after, "snapshots_written"), 1u);
+  EXPECT_LT(StatField(after, "journal_bytes"),
+            StatField(before, "journal_bytes"));
 
   // Post-snapshot writes land in the compacted journal and recovery
   // stitches snapshot + tail back together.
@@ -234,7 +250,9 @@ TEST(ServiceTest, SnapshotCommandCompactsJournal) {
   auto recovered = Service::Open(recover);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ((*recovered)->last_seq(), 11u);
-  EXPECT_EQ((*recovered)->stats().recovered_records, 1u);
+  EXPECT_EQ(
+      StatField((*recovered)->ExecuteLine("STATS"), "recovered_records"),
+      1u);
   EXPECT_EQ(MWorkerResultBodyJson((*recovered)->EvaluateAll()), expected);
 }
 
@@ -254,10 +272,10 @@ TEST(ServiceTest, AutomaticSnapshotEveryN) {
                              static_cast<data::TaskId>(i / 4), 1)
                     .ok());
   }
-  ServiceStats stats = (*service)->stats();
-  EXPECT_EQ(stats.snapshots_written, 2u);
-  EXPECT_EQ(stats.snapshot_seq, 10u);
-  EXPECT_EQ(stats.journal_records, 2u);
+  const std::string stats = (*service)->ExecuteLine("STATS");
+  EXPECT_EQ(StatField(stats, "snapshots_written"), 2u);
+  EXPECT_EQ(StatField(stats, "snapshot_seq"), 10u);
+  EXPECT_EQ(StatField(stats, "journal_records"), 2u);
 }
 
 TEST(ServiceTest, MetricsCommandExportsPrometheus) {
@@ -281,7 +299,8 @@ TEST(ServiceTest, MetricsCommandExportsPrometheus) {
   EXPECT_NE(text.find("crowdeval_server_responses_rejected_total 1"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("crowdeval_server_eval_seconds_bucket{le=\"+Inf\"}"),
+  EXPECT_NE(text.find("crowdeval_server_command_seconds_bucket{command="
+                      "\"EVAL_ALL\",le=\"+Inf\"} 1"),
             std::string::npos)
       << text;
   EXPECT_NE(
@@ -291,7 +310,7 @@ TEST(ServiceTest, MetricsCommandExportsPrometheus) {
 }
 
 // Hammers STATS/METRICS from readers while writers ingest — the
-// regression test for the pre-registry ServiceStats counters, whose
+// regression test for the pre-registry STATS counters, whose
 // unsynchronized increments raced. Run under TSan in CI.
 TEST(ServiceTest, ConcurrentIngestAndStatsAreRaceFree) {
   auto service = OpenInMemory(8, 64);
@@ -313,8 +332,9 @@ TEST(ServiceTest, ConcurrentIngestAndStatsAreRaceFree) {
   }
   std::thread reader([&] {
     while (!done.load()) {
-      ServiceStats stats = service->stats();
-      EXPECT_LE(stats.responses_ingested + stats.responses_noop,
+      const std::string stats = service->ExecuteLine("STATS");
+      EXPECT_LE(StatField(stats, "responses_ingested") +
+                    StatField(stats, "responses_noop"),
                 static_cast<uint64_t>(kWriters) * kResponsesPerWriter);
       std::string text = service->ExecuteLine("METRICS");
       EXPECT_NE(text.find("# EOF"), std::string::npos);
@@ -324,10 +344,11 @@ TEST(ServiceTest, ConcurrentIngestAndStatsAreRaceFree) {
   done.store(true);
   reader.join();
 
-  ServiceStats stats = service->stats();
-  EXPECT_EQ(stats.responses_ingested + stats.responses_noop,
+  const std::string stats = service->ExecuteLine("STATS");
+  EXPECT_EQ(StatField(stats, "responses_ingested") +
+                StatField(stats, "responses_noop"),
             static_cast<uint64_t>(kWriters) * kResponsesPerWriter);
-  EXPECT_EQ(stats.responses_rejected, 0u);
+  EXPECT_EQ(StatField(stats, "responses_rejected"), 0u);
 }
 
 // Each RESP ack must name the seq of its own response, even while
