@@ -95,39 +95,97 @@ void IncrementalEvaluator::MarkTaskDirty(data::TaskId t,
 }
 
 Result<WorkerAssessment> IncrementalEvaluator::EvaluateUncached(
-    data::WorkerId worker) const {
-  return EvaluateWorker(overlap_, worker, options_);
+    const data::OverlapIndex& overlap, data::WorkerId worker) const {
+  return EvaluateWorker(overlap, worker, options_);
 }
 
-const Result<WorkerAssessment>& IncrementalEvaluator::EnsureEvaluated(
-    data::WorkerId worker) {
-  if (IsStale(worker)) {
-    // A throwing evaluation leaves the entry (and so its staleness)
-    // untouched.
-    cache_[worker] = EvaluateUncached(worker);
-    cached_epoch_[worker] = dirty_epoch_[worker];
+IncrementalEvaluator::Pass IncrementalEvaluator::CaptureRange(
+    data::WorkerId first, size_t count, IndexView view) const {
+  Pass pass;
+  pass.first = first;
+  pass.results.resize(count);
+  for (size_t i = 0; i < count; ++i) {
+    const data::WorkerId w = first + i;
+    if (IsStale(w)) {
+      pass.stale.emplace_back(w, dirty_epoch_[w]);
+    } else {
+      pass.results[i] = *cache_[w];
+    }
   }
-  return *cache_[worker];
+  if (!pass.stale.empty()) {
+    if (view == IndexView::kCopy) {
+      pass.copy = std::make_unique<const data::OverlapIndex>(overlap_);
+      pass.overlap = pass.copy.get();
+    } else {
+      pass.overlap = &overlap_;
+    }
+  }
+  return pass;
+}
+
+Result<IncrementalEvaluator::Pass> IncrementalEvaluator::Capture(
+    data::WorkerId worker, IndexView view) const {
+  if (worker >= responses_.num_workers()) {
+    return Status::Invalid("Evaluate: worker id out of range");
+  }
+  return CaptureRange(worker, 1, view);
+}
+
+IncrementalEvaluator::Pass IncrementalEvaluator::CaptureAll(
+    IndexView view) const {
+  return CaptureRange(0, responses_.num_workers(), view);
+}
+
+const Result<WorkerAssessment>& IncrementalEvaluator::FillSlot(
+    Pass* pass, size_t i) const {
+  std::optional<Result<WorkerAssessment>>& slot = pass->results[i];
+  if (!slot.has_value()) {
+    slot = EvaluateUncached(*pass->overlap, pass->first + i);
+  }
+  return *slot;
+}
+
+Result<WorkerAssessment> IncrementalEvaluator::Run(Pass* pass) const {
+  CROWD_DCHECK(pass->results.size() == 1);
+  return FillSlot(pass, 0);
+}
+
+MWorkerResult IncrementalEvaluator::RunAll(Pass* pass) const {
+  CROWD_DCHECK(pass->first == 0);
+  // Each body writes only its own slot.
+  return EvaluatePool<WorkerAssessment>(
+      pass->results.size(), options_.num_threads,
+      [this, pass](data::WorkerId w) -> const Result<WorkerAssessment>& {
+        return FillSlot(pass, w);
+      });
+}
+
+void IncrementalEvaluator::Commit(Pass pass) {
+  for (const auto& [w, epoch] : pass.stale) {
+    std::optional<Result<WorkerAssessment>>& slot =
+        pass.results[w - pass.first];
+    // Dropped: a later response dirtied the worker, so the result is
+    // out of date (a newer pass may have cached a fresh one), or the
+    // evaluation threw.
+    if (dirty_epoch_[w] != epoch || !slot.has_value()) continue;
+    cache_[w] = std::move(slot);
+    cached_epoch_[w] = epoch;
+  }
 }
 
 Result<WorkerAssessment> IncrementalEvaluator::Evaluate(
     data::WorkerId worker) {
-  if (worker >= responses_.num_workers()) {
-    return Status::Invalid("Evaluate: worker id out of range");
-  }
-  // A cache hit hands out a copy of the stored Result without
-  // re-storing anything; the cached entry stays valid.
-  return EnsureEvaluated(worker);
+  CROWD_ASSIGN_OR_RETURN(Pass pass, Capture(worker, IndexView::kLive));
+  Result<WorkerAssessment> result = Run(&pass);
+  Commit(std::move(pass));
+  return result;
 }
 
 MWorkerResult IncrementalEvaluator::EvaluateAll() {
-  // Each body reads only the overlap index (frozen for the duration of
-  // this call) and touches only its own worker's cache entry: stale
-  // workers are re-evaluated, fresh ones are copied out of the cache,
-  // which stays warm for later calls.
-  return EvaluatePool<WorkerAssessment>(
-      responses_.num_workers(), options_.num_threads,
-      [this](data::WorkerId w) { return EnsureEvaluated(w); });
+  Pass pass = CaptureAll(IndexView::kLive);
+  MWorkerResult result = RunAll(&pass);
+  Commit(std::move(pass));
+  return result;
 }
 
 size_t IncrementalEvaluator::DirtyWorkerCount() const {

@@ -10,6 +10,16 @@
 // evaluation can actually observe the changed statistics (see
 // MarkTaskDirty), tracked by a per-worker dirty epoch.
 //
+// Every evaluation is one Pass in three steps: Capture records each
+// requested worker's dirty epoch and copies out the fresh cached
+// assessments; Run evaluates the stale workers against an overlap
+// index; Commit installs each result whose worker was not dirtied in
+// between. Capture and Commit must be serialized with AddResponse; Run
+// reads only the pass and the options, so a caller holding a lock
+// (server::Service) can run it without the lock on a private copy of
+// the index, while single-owner callers run all three steps on the
+// live index.
+//
 // It is also the one way binary evaluator state is built: a whole
 // matrix is indexed in bulk by the bitset constructor with every
 // worker stale, so batch evaluation (MWorkerEvaluate), snapshot
@@ -21,7 +31,9 @@
 #define CROWD_CORE_INCREMENTAL_H_
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "core/m_worker.h"
@@ -82,6 +94,50 @@ class IncrementalEvaluator {
   /// and stays stale (see core/evaluate_pool.h).
   MWorkerResult EvaluateAll();
 
+  /// \brief One evaluation of the workers [first, first +
+  /// results.size()) as of its Capture (see the file comment).
+  struct Pass {
+    data::WorkerId first = 0;
+    /// Per requested worker: the cached assessment when it was fresh
+    /// at capture, otherwise empty until Run fills it. A slot whose
+    /// evaluation threw stays empty.
+    std::vector<std::optional<Result<WorkerAssessment>>> results;
+    /// The workers stale at capture, ascending, with their dirty
+    /// epochs at capture.
+    std::vector<std::pair<data::WorkerId, uint64_t>> stale;
+    /// The index Run evaluates against: the live one, or `copy`.
+    /// Null when no worker is stale.
+    const data::OverlapIndex* overlap = nullptr;
+    std::unique_ptr<const data::OverlapIndex> copy;
+  };
+
+  /// Where a pass's stale workers are evaluated: on the live index
+  /// (the caller applies no response before Commit), or on a private
+  /// copy taken at capture (responses may be applied while Run runs).
+  enum class IndexView { kLive, kCopy };
+
+  /// \brief Capture for `worker` alone; Invalid for an out-of-range
+  /// id. The index is copied only when the worker is stale.
+  Result<Pass> Capture(data::WorkerId worker, IndexView view) const;
+  /// \brief Capture for every worker; the index is copied only when
+  /// at least one worker is stale.
+  Pass CaptureAll(IndexView view) const;
+
+  /// \brief Run for a Capture(worker) pass. A throwing evaluation
+  /// propagates and leaves the slot empty.
+  Result<WorkerAssessment> Run(Pass* pass) const;
+  /// \brief Run for a CaptureAll pass, through EvaluatePool: stale
+  /// workers in parallel when `options.num_threads != 1`, a throw
+  /// reported as that worker's Internal failure.
+  MWorkerResult RunAll(Pass* pass) const;
+
+  /// \brief Caches each result of `pass` whose worker no response
+  /// dirtied since the capture (its dirty epoch still equals the
+  /// captured one) and whose evaluation did not throw. An out-of-date
+  /// result is dropped, so it cannot evict a fresher entry that a
+  /// later pass committed first.
+  void Commit(Pass pass);
+
   /// \brief Workers whose cached assessment is stale (or missing).
   size_t DirtyWorkerCount() const;
 
@@ -93,19 +149,23 @@ class IncrementalEvaluator {
   }
 
  protected:
-  /// One evaluation of `worker` on the current statistics, bypassing
-  /// the cache. Virtual only so that tests can inject a failing
-  /// evaluation.
+  /// One evaluation of `worker` on `overlap`, bypassing the cache.
+  /// On a kCopy pass it may run concurrently with AddResponse, so it
+  /// may read only `overlap` and the options. Virtual only so that
+  /// tests can inject a failing or blocking evaluation.
   virtual Result<WorkerAssessment> EvaluateUncached(
-      data::WorkerId worker) const;
+      const data::OverlapIndex& overlap, data::WorkerId worker) const;
 
  private:
   void MarkTaskDirty(data::TaskId t, data::WorkerId responder);
 
-  /// Re-evaluates `worker` if its cache entry is stale or missing and
-  /// returns the (now fresh) cached entry. Callers copy out of the
-  /// returned reference; the cache itself is never moved from.
-  const Result<WorkerAssessment>& EnsureEvaluated(data::WorkerId worker);
+  /// Capture for the workers [first, first + count).
+  Pass CaptureRange(data::WorkerId first, size_t count,
+                    IndexView view) const;
+
+  /// Slot `i` of `pass`, evaluated first if it is empty (stale at
+  /// capture). A throw leaves the slot empty.
+  const Result<WorkerAssessment>& FillSlot(Pass* pass, size_t i) const;
 
   bool IsStale(data::WorkerId worker) const {
     return !cache_[worker].has_value() ||

@@ -8,20 +8,26 @@ namespace crowd::data {
 OverlapIndex::OverlapIndex(const ResponseMatrix& responses)
     : responses_(responses),
       num_workers_(responses.num_workers()),
-      arity_(static_cast<size_t>(responses.arity())),
-      words_per_worker_((responses.num_tasks() + 63) / 64),
+      num_tasks_(responses.num_tasks()),
+      words_per_worker_((num_tasks_ + 63) / 64),
       attempt_bits_(num_workers_ * words_per_worker_, 0),
-      value_bits_(num_workers_ * arity_ * words_per_worker_, 0),
       pair_common_(num_workers_ * num_workers_, 0),
       pair_agree_(num_workers_ * num_workers_, 0) {
-  const size_t n = responses.num_tasks();
+  // Per-(worker, response value) bitmasks, concatenated; each attempt
+  // bit is set in exactly one value plane.
+  const size_t arity = static_cast<size_t>(responses.arity());
+  std::vector<uint64_t> value_bits(num_workers_ * arity * words_per_worker_,
+                                   0);
+  auto value_row = [&](WorkerId w, size_t r) {
+    return value_bits.data() + (w * arity + r) * words_per_worker_;
+  };
   for (WorkerId w = 0; w < num_workers_; ++w) {
-    for (TaskId t = 0; t < n; ++t) {
+    for (TaskId t = 0; t < num_tasks_; ++t) {
       auto r = responses.Get(w, t);
       if (!r.has_value()) continue;
       const uint64_t mask = uint64_t{1} << (t % 64);
       AttemptBits(w)[t / 64] |= mask;
-      ValueBits(w, static_cast<size_t>(*r))[t / 64] |= mask;
+      value_row(w, static_cast<size_t>(*r))[t / 64] |= mask;
     }
   }
   for (WorkerId i = 0; i < num_workers_; ++i) {
@@ -30,8 +36,8 @@ OverlapIndex::OverlapIndex(const ResponseMatrix& responses)
       const size_t common =
           util::AndPopcount(ai, AttemptBits(j), words_per_worker_);
       size_t agree = 0;
-      for (size_t r = 0; r < arity_; ++r) {
-        agree += util::AndPopcount(ValueBits(i, r), ValueBits(j, r),
+      for (size_t r = 0; r < arity; ++r) {
+        agree += util::AndPopcount(value_row(i, r), value_row(j, r),
                                    words_per_worker_);
       }
       pair_common_[Index(i, j)] = pair_common_[Index(j, i)] = common;
@@ -52,7 +58,7 @@ Result<double> OverlapIndex::AgreementRate(WorkerId i, WorkerId j) const {
 
 Status OverlapIndex::ApplyResponse(WorkerId w, TaskId t,
                                    std::optional<Response> previous) {
-  if (w >= num_workers_ || t >= responses_.num_tasks()) {
+  if (w >= num_workers_ || t >= num_tasks_) {
     return Status::Invalid("ApplyResponse: index out of range");
   }
   auto current = responses_.Get(w, t);
@@ -87,17 +93,12 @@ Status OverlapIndex::ApplyResponse(WorkerId w, TaskId t,
       }
     }
   }
-  const size_t word = t / 64;
-  const uint64_t mask = uint64_t{1} << (t % 64);
   if (newly_attempted) {
     // Self counts track the worker's attempted-task total.
     ++pair_common_[Index(w, w)];
     ++pair_agree_[Index(w, w)];
-    AttemptBits(w)[word] |= mask;
-  } else {
-    ValueBits(w, static_cast<size_t>(*previous))[word] &= ~mask;
+    AttemptBits(w)[t / 64] |= uint64_t{1} << (t % 64);
   }
-  ValueBits(w, static_cast<size_t>(*current))[word] |= mask;
   return Status::OK();
 }
 

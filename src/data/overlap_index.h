@@ -13,13 +13,18 @@
 // process 64 tasks per word through the AND-popcount kernels of
 // util/bitops.h (hardware POPCNT where the CPU has it), replacing the
 // per-cell std::optional scan the construction used to run
-// (O(m^2 n) cell probes -> O(m^2 (k+1) n/64) word ANDs).
+// (O(m^2 n) cell probes -> O(m^2 (k+1) n/64) word ANDs). The value
+// masks V are only needed for the a_ij sums, so they live in the
+// constructor alone; the index keeps the attempt masks and the pair
+// counts, which is everything evaluation reads.
 //
 // Once built, the index is immutable under evaluation: the estimators
 // only call the const accessors, which is what makes the worker-level
 // ParallelFor in the evaluation engines safe. ApplyResponse (the
 // incremental mode) is the only mutator and must not run concurrently
-// with evaluation.
+// with evaluation of the same index. A copy reads neither the matrix
+// nor the original, so a caller can evaluate a copy while the
+// original keeps taking responses (see IncrementalEvaluator::Pass).
 
 #ifndef CROWD_DATA_OVERLAP_INDEX_H_
 #define CROWD_DATA_OVERLAP_INDEX_H_
@@ -73,7 +78,7 @@ class OverlapIndex {
 
   /// Whether worker `w` attempted task `t` (O(1) bit probe).
   bool Attempted(WorkerId w, TaskId t) const {
-    CROWD_DCHECK(w < num_workers_ && t < responses_.num_tasks());
+    CROWD_DCHECK(w < num_workers_ && t < num_tasks_);
     return (attempt_bits_[w * words_per_worker_ + t / 64] >> (t % 64)) &
            uint64_t{1};
   }
@@ -98,23 +103,13 @@ class OverlapIndex {
   const uint64_t* AttemptBits(WorkerId w) const {
     return attempt_bits_.data() + w * words_per_worker_;
   }
-  /// The bitset of tasks worker `w` answered with value `r`.
-  uint64_t* ValueBits(WorkerId w, size_t r) {
-    return value_bits_.data() + (w * arity_ + r) * words_per_worker_;
-  }
-  const uint64_t* ValueBits(WorkerId w, size_t r) const {
-    return value_bits_.data() + (w * arity_ + r) * words_per_worker_;
-  }
-
+  /// The matrix ApplyResponse reads; no const accessor touches it.
   const ResponseMatrix& responses_;
   size_t num_workers_;
-  size_t arity_;
+  size_t num_tasks_;
   size_t words_per_worker_;
   /// Per-worker attempt bitmask, concatenated.
   std::vector<uint64_t> attempt_bits_;
-  /// Per-(worker, response value) bitmask, concatenated; each attempt
-  /// bit is set in exactly one value plane.
-  std::vector<uint64_t> value_bits_;
   std::vector<size_t> pair_common_;
   std::vector<size_t> pair_agree_;
 };

@@ -262,24 +262,40 @@ Status Service::Ingest(data::WorkerId worker, data::TaskId task,
 }
 
 Result<core::WorkerAssessment> Service::Evaluate(data::WorkerId worker) {
-  util::MutexLock lock(mu_);
-  // Evaluate rejects an out-of-range id without touching the cache, so
-  // it counts as neither a hit nor a miss.
-  if (worker < NumWorkersLocked()) {
-    (evaluator_->IsCached(worker) ? counters_.cache_hits
-                                  : counters_.cache_misses)
+  core::IncrementalEvaluator* evaluator = nullptr;
+  core::IncrementalEvaluator::Pass pass;
+  {
+    util::MutexLock lock(mu_);
+    evaluator = evaluator_.get();
+    // A rejected id touches no cache, so it counts as neither a hit
+    // nor a miss.
+    CROWD_ASSIGN_OR_RETURN(
+        pass, evaluator->Capture(
+                  worker, core::IncrementalEvaluator::IndexView::kCopy));
+    (pass.stale.empty() ? counters_.cache_hits : counters_.cache_misses)
         ->Increment();
   }
-  return evaluator_->Evaluate(worker);
+  Result<core::WorkerAssessment> result = evaluator->Run(&pass);
+  util::MutexLock lock(mu_);
+  evaluator->Commit(std::move(pass));
+  return result;
 }
 
 core::MWorkerResult Service::EvaluateAll() {
+  core::IncrementalEvaluator* evaluator = nullptr;
+  core::IncrementalEvaluator::Pass pass;
+  {
+    util::MutexLock lock(mu_);
+    evaluator = evaluator_.get();
+    pass = evaluator->CaptureAll(core::IncrementalEvaluator::IndexView::kCopy);
+    counters_.cache_misses->Increment(pass.stale.size());
+    counters_.cache_hits->Increment(pass.results.size() - pass.stale.size());
+    counters_.eval_all_runs->Increment();
+  }
+  core::MWorkerResult result = evaluator->RunAll(&pass);
   util::MutexLock lock(mu_);
-  const size_t dirty = evaluator_->DirtyWorkerCount();
-  counters_.cache_misses->Increment(dirty);
-  counters_.cache_hits->Increment(NumWorkersLocked() - dirty);
-  counters_.eval_all_runs->Increment();
-  return evaluator_->EvaluateAll();
+  evaluator->Commit(std::move(pass));
+  return result;
 }
 
 Result<uint64_t> Service::TakeSnapshot() {

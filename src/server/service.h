@@ -4,13 +4,25 @@
 // demand (or every `snapshot_every` responses), and recovers its state
 // on startup from the latest valid snapshot plus the journal tail.
 //
-// Concurrency model: one mutex serializes all commands. RESP is O(m)
-// (a matrix store, an overlap update and dirty-epoch marking) so
-// concurrent writers from many connections batch naturally between
-// evaluations; EVAL_ALL then refreshes all accumulated-stale workers
-// in one pass, fanning out over the configured ThreadPool width. This
-// is exactly the memoization contract of IncrementalEvaluator, lifted
-// behind a socket.
+// Concurrency model: one mutex, mu_, guards the evaluator, the journal
+// and the seq. RESP holds it throughout; it is O(m) (a matrix store, an
+// overlap update and dirty-epoch marking). EVAL and EVAL_ALL hold it
+// twice, briefly, around an IncrementalEvaluator::Pass:
+//   1. capture, under mu_: each requested worker's dirty epoch, its
+//      cached assessment when fresh, and (when some requested worker
+//      is stale) a private copy of the overlap index;
+//   2. run, without mu_: the stale workers are evaluated against that
+//      copy, fanning out over the configured ThreadPool width, while
+//      writers keep mutating the live index;
+//   3. commit, under mu_: each result is cached only if no RESP dirtied
+//      its worker since the capture.
+// The capture is the linearization point: a reply reflects exactly the
+// responses applied before it, so every RESP acknowledged before the
+// EVAL was sent is included. No copy outlives its request. Writers
+// from many connections batch naturally between evaluations, and
+// EVAL_ALL refreshes all accumulated-stale workers in one pass: the
+// memoization contract of IncrementalEvaluator, lifted behind a socket.
+// SPAMMERS, STATS and SNAPSHOT run under mu_ throughout.
 //
 // Durability: an acknowledged RESP has been write(2)ed to the journal
 // and survives SIGKILL of the daemon (OS page cache); set
@@ -158,6 +170,8 @@ class Service {
   Counters counters_;
 
   mutable util::Mutex mu_;
+  /// Set once by Recover and never replaced, so EVAL/EVAL_ALL may keep
+  /// the pointer past the capture to run their pass without mu_.
   std::unique_ptr<core::IncrementalEvaluator> evaluator_
       CROWD_GUARDED_BY(mu_);
   std::optional<Journal> journal_ CROWD_GUARDED_BY(mu_);

@@ -12,12 +12,19 @@
 #include <cstdio>
 #include <cstring>
 
+#include "server/protocol.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
 namespace crowd::server {
 
 namespace {
+
+/// Longest request line a client may send, newline excluded. A longer
+/// line (complete or still buffering) gets one error reply and the
+/// connection is closed, so one client cannot grow daemon memory
+/// without bound.
+constexpr size_t kMaxLineBytes = 4096;
 
 Status Errno(const char* op) {
   return Status::IoError(StrFormat("%s: %s", op, std::strerror(errno)));
@@ -139,14 +146,27 @@ void SocketServer::ServeConnection(int fd) {
     if (n <= 0) break;  // EOF or shutdown() from Stop()
     buffer.append(chunk, static_cast<size_t>(n));
     size_t start = 0;
+    bool too_long = false;
     for (size_t nl = buffer.find('\n', start);
          nl != std::string::npos && !quit;
          nl = buffer.find('\n', start)) {
+      if (nl - start > kMaxLineBytes) {
+        too_long = true;
+        break;
+      }
       std::string_view line(buffer.data() + start, nl - start);
       std::string reply = service_->ExecuteLine(line, &quit);
       reply.push_back('\n');
       if (!SendAll(fd, reply.data(), reply.size())) quit = true;
       start = nl + 1;
+    }
+    if (!quit && (too_long || buffer.size() - start > kMaxLineBytes)) {
+      std::string reply = ErrorJson(Status::Invalid(StrFormat(
+          "request line exceeds %zu bytes; closing connection",
+          kMaxLineBytes)));
+      reply.push_back('\n');
+      SendAll(fd, reply.data(), reply.size());
+      break;
     }
     buffer.erase(0, start);
   }
@@ -167,8 +187,11 @@ void SocketServer::Stop() {
     }
     return;
   }
+  // The accept loop reads listen_fd_ and adds clients: close the
+  // listener and wake the clients only once the loop has exited.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
@@ -178,7 +201,6 @@ void SocketServer::Stop() {
     util::MutexLock lock(client_mu_);
     for (int fd : client_fds_) ::shutdown(fd, SHUT_RDWR);
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
   {
     util::MutexLock lock(client_mu_);

@@ -1,8 +1,9 @@
 // The crowdevald network front end: accepts connections on a
 // Unix-domain or loopback TCP socket and speaks the newline-delimited
 // protocol of server/protocol.h, one thread per connection. All state
-// lives in the shared Service (which serializes commands internally);
-// the socket layer only frames lines and writes replies.
+// lives in the shared Service (which synchronizes commands internally);
+// the socket layer only frames lines, bounded at 4096 bytes each, and
+// writes replies.
 
 #ifndef CROWD_SERVER_SOCKET_SERVER_H_
 #define CROWD_SERVER_SOCKET_SERVER_H_

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <latch>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -301,6 +304,215 @@ TEST(Incremental, BulkBuildEqualsPerCellBuild) {
         }
       }
     }
+  }
+}
+
+// Bitwise equality of two evaluation outcomes.
+void ExpectSameOutcome(const Result<WorkerAssessment>& x,
+                       const Result<WorkerAssessment>& y) {
+  ASSERT_EQ(x.ok(), y.ok());
+  if (!x.ok()) {
+    EXPECT_EQ(x.status().ToString(), y.status().ToString());
+    return;
+  }
+  EXPECT_EQ(x->worker, y->worker);
+  EXPECT_EQ(x->num_triples, y->num_triples);
+  EXPECT_EQ(x->any_clamped, y->any_clamped);
+  const double px[] = {x->error_rate, x->deviation, x->interval.lo,
+                       x->interval.hi, x->interval.confidence};
+  const double qx[] = {y->error_rate, y->deviation, y->interval.lo,
+                       y->interval.hi, y->interval.confidence};
+  EXPECT_EQ(std::memcmp(px, qx, sizeof(px)), 0) << "worker " << x->worker;
+}
+
+void ExpectSameResult(const MWorkerResult& x, const MWorkerResult& y) {
+  ASSERT_EQ(x.assessments.size(), y.assessments.size());
+  for (size_t i = 0; i < x.assessments.size(); ++i) {
+    ExpectSameOutcome(x.assessments[i], y.assessments[i]);
+  }
+  ASSERT_EQ(x.failures.size(), y.failures.size());
+  for (size_t i = 0; i < x.failures.size(); ++i) {
+    EXPECT_EQ(x.failures[i].first, y.failures[i].first);
+    EXPECT_EQ(x.failures[i].second.ToString(),
+              y.failures[i].second.ToString());
+  }
+}
+
+// A pass captured at state S_k evaluates S_k exactly, however many
+// responses land before its commit, and the commit caches exactly the
+// workers that no later response dirtied. The crowd is two blocks of
+// workers on disjoint tasks: a response inside block A dirties only
+// (part of) A; rounds that write to both blocks dirty workers in both.
+// A twin evaluator, fully cached at S_k and fed the same later
+// responses, says which workers those responses dirtied. In the later
+// rounds a second pass, captured after those responses, commits first;
+// the older pass must then evict none of its fresher entries.
+TEST(Incremental, PassIsExactAtCaptureAndCommitKeepsUndirtiedWorkers) {
+  constexpr size_t kTasksPerBlock = 60;
+  constexpr size_t kLaterResponses = 8;
+  using IndexView = IncrementalEvaluator::IndexView;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (size_t m : {size_t{7}, size_t{40}}) {
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(testing::Message() << "seed " << seed << " m " << m
+                                        << " threads " << threads);
+        BinaryOptions options;
+        options.num_threads = threads;
+        Random rng(seed);
+        const size_t half = m / 2;  // block A = [0, half), B = the rest
+        auto pick_worker = [&](size_t block) -> data::WorkerId {
+          return block == 0 ? rng.UniformInt(half)
+                            : half + rng.UniformInt(m - half);
+        };
+        auto pick_task = [&](size_t block) -> data::TaskId {
+          return block * kTasksPerBlock + rng.UniformInt(kTasksPerBlock);
+        };
+        IncrementalEvaluator evaluator(m, 2 * kTasksPerBlock, options);
+        for (data::WorkerId w = 0; w < m; ++w) {
+          const size_t block = w < half ? 0 : 1;
+          for (data::TaskId t = 0; t < kTasksPerBlock; ++t) {
+            if (!rng.Bernoulli(0.7)) continue;
+            ASSERT_TRUE(evaluator
+                            .AddResponse(w, block * kTasksPerBlock + t,
+                                         rng.Bernoulli(0.8) ? 1 : 0)
+                            .ok());
+          }
+        }
+        for (int round = 0; round < 8; ++round) {
+          SCOPED_TRACE(testing::Message() << "round " << round);
+          const bool both_blocks = round % 2 == 1;
+          const bool overlapping = round >= 4;
+          const data::ResponseMatrix at_capture = evaluator.responses();
+          IncrementalEvaluator::Pass pass =
+              evaluator.CaptureAll(IndexView::kCopy);
+          IncrementalEvaluator twin(at_capture, options);
+          twin.EvaluateAll();
+          for (size_t k = 0; k < kLaterResponses; ++k) {
+            const size_t block = both_blocks ? k % 2 : 0;
+            const data::WorkerId w = pick_worker(block);
+            const data::TaskId t = pick_task(block);
+            // Always a real change: a new cell or a flipped one.
+            const auto previous = evaluator.responses().Get(w, t);
+            const data::Response r =
+                previous.has_value() ? 1 - *previous : 1;
+            bool changed = false;
+            ASSERT_TRUE(evaluator.AddResponse(w, t, r, &changed).ok());
+            ASSERT_TRUE(changed);
+            ASSERT_TRUE(twin.AddResponse(w, t, r).ok());
+          }
+          const MWorkerResult result = evaluator.RunAll(&pass);
+          if (overlapping) {
+            IncrementalEvaluator::Pass newer =
+                evaluator.CaptureAll(IndexView::kCopy);
+            const MWorkerResult newer_result = evaluator.RunAll(&newer);
+            evaluator.Commit(std::move(newer));
+            auto now = MWorkerEvaluate(evaluator.responses(), options);
+            ASSERT_TRUE(now.ok()) << now.status();
+            ExpectSameResult(newer_result, *now);
+          }
+          evaluator.Commit(std::move(pass));
+
+          auto expected = MWorkerEvaluate(at_capture, options);
+          ASSERT_TRUE(expected.ok()) << expected.status();
+          ExpectSameResult(result, *expected);
+
+          for (data::WorkerId w = 0; w < m; ++w) {
+            ASSERT_EQ(evaluator.IsCached(w), overlapping || twin.IsCached(w))
+                << "worker " << w;
+            if (!evaluator.IsCached(w)) continue;
+            ExpectSameOutcome(
+                evaluator.Evaluate(w),
+                EvaluateWorker(evaluator.overlap(), w, options));
+          }
+          size_t dirtied[2] = {0, 0};
+          for (data::WorkerId w = 0; w < m; ++w) {
+            if (!twin.IsCached(w)) ++dirtied[w < half ? 0 : 1];
+          }
+          EXPECT_GT(dirtied[0], 0u);
+          if (both_blocks) {
+            EXPECT_GT(dirtied[1], 0u);
+          } else {
+            EXPECT_EQ(dirtied[1], 0u);
+          }
+        }
+      }
+    }
+  }
+}
+
+// An evaluator whose evaluations block until the test releases them.
+class BlockingEvaluator : public IncrementalEvaluator {
+ public:
+  using IncrementalEvaluator::IncrementalEvaluator;
+
+  /// Counted down by the first evaluation to start.
+  mutable std::latch entered{1};
+  /// Every evaluation waits on it.
+  mutable std::latch release{1};
+
+ protected:
+  Result<WorkerAssessment> EvaluateUncached(
+      const data::OverlapIndex& overlap,
+      data::WorkerId worker) const override {
+    if (!started_.exchange(true)) entered.count_down();
+    release.wait();
+    return IncrementalEvaluator::EvaluateUncached(overlap, worker);
+  }
+
+ private:
+  mutable std::atomic<bool> started_{false};
+};
+
+// Responses applied while a pass is inside an evaluation (on another
+// thread) change nothing in its result: it is exactly the state at
+// capture. The next pass then sees the final state.
+TEST(Incremental, ResponsesDuringRunLeaveThePassExact) {
+  Random rng(11);
+  sim::BinarySimConfig config;
+  config.num_workers = 8;
+  config.num_tasks = 120;
+  config.assignment = sim::AssignmentConfig::Iid(0.6);
+  const auto sim = sim::SimulateBinary(config, &rng);
+  const data::ResponseMatrix& all = sim.dataset.responses();
+  constexpr data::TaskId kCaptureAt = 90;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    BinaryOptions options;
+    options.num_threads = threads;
+    data::ResponseMatrix prefix(config.num_workers, config.num_tasks, 2);
+    for (data::WorkerId w = 0; w < config.num_workers; ++w) {
+      for (data::TaskId t = 0; t < kCaptureAt; ++t) {
+        if (auto r = all.Get(w, t)) {
+          ASSERT_TRUE(prefix.Set(w, t, *r).ok());
+        }
+      }
+    }
+    BlockingEvaluator evaluator(prefix, options);
+    IncrementalEvaluator::Pass pass =
+        evaluator.CaptureAll(IncrementalEvaluator::IndexView::kCopy);
+    MWorkerResult result;
+    std::thread runner([&] { result = evaluator.RunAll(&pass); });
+    evaluator.entered.wait();
+    size_t applied = 0;
+    for (data::WorkerId w = 0; w < config.num_workers; ++w) {
+      for (data::TaskId t = kCaptureAt; t < config.num_tasks; ++t) {
+        if (auto r = all.Get(w, t)) {
+          ASSERT_TRUE(evaluator.AddResponse(w, t, *r).ok());
+          ++applied;
+        }
+      }
+    }
+    evaluator.release.count_down();
+    runner.join();
+    evaluator.Commit(std::move(pass));
+    EXPECT_GT(applied, 0u);
+
+    auto expected = MWorkerEvaluate(prefix, options);
+    ASSERT_TRUE(expected.ok()) << expected.status();
+    ExpectSameResult(result, *expected);
+    auto final_state = MWorkerEvaluate(all, options);
+    ASSERT_TRUE(final_state.ok()) << final_state.status();
+    ExpectSameResult(evaluator.EvaluateAll(), *final_state);
   }
 }
 

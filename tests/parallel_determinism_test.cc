@@ -219,9 +219,10 @@ class ThrowingIncrementalEvaluator : public IncrementalEvaluator {
 
  protected:
   Result<WorkerAssessment> EvaluateUncached(
+      const data::OverlapIndex& overlap,
       data::WorkerId worker) const override {
     if (worker == throwing_worker_) throw std::runtime_error("injected");
-    return IncrementalEvaluator::EvaluateUncached(worker);
+    return IncrementalEvaluator::EvaluateUncached(overlap, worker);
   }
 
  private:
@@ -260,6 +261,70 @@ TEST(ParallelDeterminism, IncrementalThrowLeavesWorkerStale) {
     ExpectIdentical(results[i], evaluator.EvaluateAll(), "second pass");
   }
   ExpectIdentical(results[0], results[1], "incremental throw");
+}
+
+// The same policy through the capture/run/commit steps server::Service
+// takes, with responses applied between capture and commit: the
+// throwing worker installs nothing, stays stale and is evaluated (and
+// reported) again by the next pass, whose result is the final state's.
+TEST(ParallelDeterminism, IncrementalThrowAcrossCaptureRunCommit) {
+  data::ResponseMatrix responses = NonRegularMatrixWithFailure();
+  const size_t m = responses.num_workers();
+  const size_t n = responses.num_tasks();
+  const data::TaskId held_back = n - 10;
+  using IndexView = IncrementalEvaluator::IndexView;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << "threads " << threads);
+    BinaryOptions options;
+    options.num_threads = threads;
+    ThrowingIncrementalEvaluator evaluator(m, n, options, 3);
+    auto feed = [&](data::TaskId begin, data::TaskId end) {
+      for (data::TaskId t = begin; t < end; ++t) {
+        for (data::WorkerId w = 0; w < m; ++w) {
+          auto r = responses.Get(w, t);
+          if (!r.has_value()) continue;
+          ASSERT_TRUE(evaluator.AddResponse(w, t, *r).ok());
+        }
+      }
+    };
+    feed(0, held_back);
+    const data::ResponseMatrix at_capture = evaluator.responses();
+    IncrementalEvaluator::Pass pass = evaluator.CaptureAll(IndexView::kCopy);
+    feed(held_back, n);
+    const MWorkerResult first = evaluator.RunAll(&pass);
+    evaluator.Commit(std::move(pass));
+
+    // Worker 3 is the one Internal failure; every other worker is
+    // evaluated exactly as on `state`.
+    auto expect_worker_3_threw = [&](MWorkerResult result,
+                                     const data::ResponseMatrix& state) {
+      const size_t internal =
+          std::erase_if(result.failures, [](const auto& failure) {
+            return failure.first == 3 &&
+                   failure.second.code() == StatusCode::kInternal;
+          });
+      EXPECT_EQ(internal, 1u);
+      MWorkerResult expected =
+          IncrementalEvaluator(state, options).EvaluateAll();
+      std::erase_if(expected.assessments, [](const WorkerAssessment& a) {
+        return a.worker == 3;
+      });
+      ExpectIdentical(result, expected, "all but worker 3");
+    };
+    expect_worker_3_threw(first, at_capture);
+    EXPECT_FALSE(evaluator.IsCached(3));
+
+    IncrementalEvaluator::Pass retry = evaluator.CaptureAll(IndexView::kCopy);
+    bool retried = false;
+    for (const auto& [worker, epoch] : retry.stale) retried |= worker == 3;
+    EXPECT_TRUE(retried);
+    const MWorkerResult second = evaluator.RunAll(&retry);
+    evaluator.Commit(std::move(retry));
+    expect_worker_3_threw(second, evaluator.responses());
+    EXPECT_FALSE(evaluator.IsCached(3));
+    EXPECT_EQ(evaluator.DirtyWorkerCount(), 1u);
+    ExpectIdentical(second, evaluator.EvaluateAll(), "after commit");
+  }
 }
 
 TEST(ParallelDeterminism, EvaluatorConfigThreadsPropagate) {

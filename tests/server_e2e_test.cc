@@ -8,6 +8,7 @@
 #include <fcntl.h>
 #include <signal.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -47,6 +48,25 @@ class Client {
   // (without the newline).
   std::string RoundTrip(const std::string& command) {
     if (!Send(command)) return "";
+    return ReadLine();
+  }
+
+  // Sends `bytes` as they are, with no newline appended. Returns false
+  // once the daemon has closed the connection; that is no failure.
+  bool SendRaw(const std::string& bytes) {
+    size_t sent = 0;
+    while (sent < bytes.size()) {
+      ssize_t n = ::send(fd_, bytes.data() + sent, bytes.size() - sent,
+                         MSG_NOSIGNAL);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) return false;
+      sent += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  // Returns the next reply line (without the newline).
+  std::string ReadLine() {
     for (;;) {
       size_t eol = buffer_.find('\n');
       if (eol != std::string::npos) {
@@ -55,6 +75,17 @@ class Client {
         return line;
       }
       if (!Fill()) return "";
+    }
+  }
+
+  // Whether the daemon has closed the connection: recv reads end of
+  // stream (or a reset) with nothing left to read.
+  bool AtEof() {
+    char byte = 0;
+    for (;;) {
+      ssize_t n = ::recv(fd_, &byte, 1, 0);
+      if (n < 0 && errno == EINTR) continue;
+      return n == 0 || (n < 0 && errno == ECONNRESET);
     }
   }
 
@@ -118,6 +149,11 @@ class Client {
                         sizeof(addr)),
               0)
         << path << ": " << std::strerror(errno);
+    // A daemon that never replies fails the test instead of hanging it.
+    timeval timeout{60, 0};
+    ASSERT_EQ(::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                           sizeof(timeout)),
+              0);
   }
 
   int fd_ = -1;
@@ -274,6 +310,42 @@ TEST(CrowdevaldE2eTest, StreamCrashRecoverBitIdentical) {
 
   // Clean shutdown: SIGTERM -> exit 0 (after a final snapshot).
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+// A client that sends 64 KiB with no newline gets one error naming
+// the line limit and is disconnected; the daemon keeps serving new
+// connections.
+TEST(CrowdevaldE2eTest, OverlongRequestLineClosesOnlyThatConnection) {
+  const std::string dir = testing::TempDir() + "/crowdevald_line_" +
+                          std::to_string(::getpid());
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string socket_path = dir + "/sock";
+  const std::string log_path = dir + "/daemon.log";
+  pid_t pid = SpawnDaemon({"--workers=4", "--tasks=8"}, socket_path,
+                          log_path);
+  ASSERT_GT(pid, 0);
+  {
+    Client hostile(socket_path);
+    // The daemon may close before it has read everything, so a failed
+    // send is expected here.
+    (void)hostile.SendRaw(std::string(64 * 1024, 'x'));
+    const std::string reply = hostile.ReadLine();
+    EXPECT_EQ(reply.find("{\"ok\":false,"), 0u) << reply;
+    EXPECT_NE(reply.find("exceeds 4096 bytes"), std::string::npos)
+        << reply;
+    EXPECT_TRUE(hostile.AtEof());
+  }
+  {
+    Client client(socket_path);
+    EXPECT_EQ(client.RoundTrip("RESP 0 0 1"), "{\"ok\":true,\"seq\":1}");
+    EXPECT_EQ(client.RoundTrip("QUIT"), "{\"ok\":true,\"bye\":true}");
+  }
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);
   ASSERT_TRUE(WIFEXITED(status)) << status;
   EXPECT_EQ(WEXITSTATUS(status), 0);

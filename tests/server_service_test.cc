@@ -387,6 +387,103 @@ TEST(ServiceTest, ConcurrentRespAcksNameTheirOwnSeq) {
   }
 }
 
+// EVAL and EVAL_ALL evaluate off the service lock, on a copy of the
+// statistics taken at their capture, while writers keep ingesting.
+// Whatever interleaving happens, a result installed in the cache must
+// belong to the state it claims, so once the writers are done EVAL_ALL
+// equals the batch evaluation of the final matrix byte for byte. Run
+// under TSan in CI.
+TEST(ServiceTest, ConcurrentIngestAndEvalMatchFinalState) {
+  constexpr size_t kWorkers = 8;
+  constexpr size_t kTasks = 120;
+  constexpr size_t kWriters = 2;
+  ServiceOptions options;
+  options.num_workers = kWorkers;
+  options.num_tasks = kTasks;
+  options.binary.num_threads = 2;
+  auto opened = Service::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Service* service = opened->get();
+
+  // Writer i owns workers [i * 4, i * 4 + 4); every cell is written
+  // once and a quarter of them are overwritten later.
+  std::vector<data::ResponseMatrix> written(
+      kWriters, data::ResponseMatrix(kWorkers, kTasks, 2));
+  std::atomic<size_t> writers_left{kWriters};
+  std::atomic<size_t> evaluations{0};
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < kWriters; ++i) {
+    threads.emplace_back([&, i] {
+      Random rng(300 + i);
+      const size_t per_writer = kWorkers / kWriters;
+      for (int pass = 0; pass < 2; ++pass) {
+        // The overwrites start only once the reader has evaluated, so
+        // evaluations and writes surely interleave.
+        while (pass == 1 && evaluations.load() < 20) {
+          std::this_thread::yield();
+        }
+        for (data::TaskId t = 0; t < kTasks; ++t) {
+          for (size_t k = 0; k < per_writer; ++k) {
+            const data::WorkerId w = i * per_writer + k;
+            if (pass == 1 && !rng.Bernoulli(0.25)) continue;
+            const auto v = static_cast<data::Response>(rng.UniformInt(2));
+            const std::string reply = service->ExecuteLine(
+                "RESP " + std::to_string(w) + " " + std::to_string(t) +
+                " " + std::to_string(v));
+            EXPECT_EQ(reply.find("{\"ok\":true,"), 0u) << reply;
+            EXPECT_TRUE(written[i].Set(w, t, v).ok());
+          }
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  size_t evals = 0, eval_alls = 0;
+  std::thread reader([&] {
+    Random rng(7);
+    while (writers_left.load() > 0) {
+      if (rng.Bernoulli(0.25)) {
+        const std::string reply = service->ExecuteLine("EVAL_ALL");
+        EXPECT_EQ(reply.find("{\"ok\":true,"), 0u) << reply;
+        ++eval_alls;
+      } else {
+        // A worker without a usable triple yet is an ok:false reply.
+        const std::string reply = service->ExecuteLine(
+            "EVAL " + std::to_string(rng.UniformInt(kWorkers)));
+        EXPECT_TRUE(reply.find("{\"ok\":true,") == 0 ||
+                    reply.find("\"code\":\"Insufficient data\"") !=
+                        std::string::npos)
+            << reply;
+        ++evals;
+      }
+      evaluations.fetch_add(1);
+    }
+  });
+  for (auto& t : threads) t.join();
+  reader.join();
+
+  data::ResponseMatrix final_state(kWorkers, kTasks, 2);
+  for (size_t i = 0; i < kWriters; ++i) {
+    for (data::WorkerId w = 0; w < kWorkers; ++w) {
+      for (data::TaskId t = 0; t < kTasks; ++t) {
+        if (auto v = written[i].Get(w, t)) {
+          ASSERT_TRUE(final_state.Set(w, t, *v).ok());
+        }
+      }
+    }
+  }
+  auto batch = core::MWorkerEvaluate(final_state, options.binary);
+  ASSERT_TRUE(batch.ok()) << batch.status();
+  EXPECT_EQ(service->ExecuteLine("EVAL_ALL"),
+            "{\"ok\":true," + MWorkerResultBodyJson(*batch) + "}");
+  // Every requested worker evaluation counted once, as a hit or a miss.
+  const std::string stats = service->ExecuteLine("STATS");
+  EXPECT_EQ(StatField(stats, "eval_cache_hits") +
+                StatField(stats, "eval_cache_misses"),
+            evals + (eval_alls + 1) * kWorkers);
+  EXPECT_EQ(StatField(stats, "eval_all_runs"), eval_alls + 1);
+}
+
 TEST(ServiceTest, SpammersCommandReportsFilteredWorkers) {
   constexpr size_t kWorkers = 5;
   constexpr size_t kTasks = 30;
