@@ -9,12 +9,13 @@
 //    ASan/MSan in sanitizer builds).
 //  - offset() + remaining() == size at all times.
 //  - A failed operation consumes nothing.
-//  - PutU32/GetU32 and PutU64/GetU64 are inverses; Crc32 is a pure
-//    function of the bytes.
+//  - PutU32/GetU32 and PutU64/GetU64 are inverses; Crc32 equals the
+//    bitwise reference CRC on every input and covers every byte.
 
 #include <cstdint>
 #include <vector>
 
+#include "../tests/crc32_reference.h"
 #include "fuzz_util.h"
 #include "server/binary_io.h"
 
@@ -91,10 +92,10 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     }
   }
 
-  // CRC is deterministic and covers every byte: flipping the last bit
-  // of a non-empty input must change it.
+  // The table-driven CRC matches the bitwise reference and covers
+  // every byte: flipping the last bit of a non-empty input changes it.
   const uint32_t crc = crowd::server::Crc32(data, size);
-  FUZZ_ASSERT(crc == crowd::server::Crc32(data, size));
+  FUZZ_ASSERT(crc == crowd::server::ReferenceCrc32(data, size));
   if (size > 0) {
     std::vector<uint8_t> copy(data, data + size);
     copy.back() ^= 1u;

@@ -40,7 +40,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   std::vector<uint8_t> encoded =
       crowd::server::EncodeJournalHeader(out.header);
   for (const auto& record : out.records) {
-    std::vector<uint8_t> rec = crowd::server::EncodeJournalRecord(record);
+    const auto rec = crowd::server::EncodeJournalRecord(record);
     encoded.insert(encoded.end(), rec.begin(), rec.end());
   }
   FUZZ_ASSERT(encoded.size() == out.valid_bytes);

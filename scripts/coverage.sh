@@ -7,9 +7,9 @@
 # drops below the gate. Two toolchains, auto-selected:
 #
 #   clang  source-based coverage (-fprofile-instr-generate) reported
-#          with llvm-profdata/llvm-cov — precise region counts; what
-#          the CI fuzz-smoke job uses.
-#   gcc    --coverage + gcov — available everywhere the repo builds.
+#          with llvm-profdata/llvm-cov — precise region counts.
+#   gcc    --coverage + gcov — available everywhere the repo builds;
+#          what the CI coverage-gate job runs.
 #
 # Usage:
 #   scripts/coverage.sh            # build, run, report, gate

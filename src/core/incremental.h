@@ -22,10 +22,11 @@
 //
 // It is also the one way binary evaluator state is built: a whole
 // matrix is indexed in bulk by the bitset constructor with every
-// worker stale, so batch evaluation (MWorkerEvaluate), snapshot
-// recovery and streaming all run through this class, and batch and
-// streaming agree by construction. Bulk and per-cell builds give the
-// same (integer) counts.
+// worker stale, so batch evaluation (MWorkerEvaluate), recovery (the
+// snapshot image with the journal tail folded in) and streaming all
+// run through this class, and batch and streaming agree by
+// construction. Bulk and per-cell builds give the same (integer)
+// counts.
 
 #ifndef CROWD_CORE_INCREMENTAL_H_
 #define CROWD_CORE_INCREMENTAL_H_

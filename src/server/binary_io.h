@@ -1,6 +1,6 @@
 // Low-level helpers shared by the durability layer (journal +
-// snapshot): CRC-32 checksums, little-endian field encoding, and a
-// thin RAII wrapper over a POSIX file descriptor.
+// snapshot): table-driven CRC-32 checksums, little-endian field
+// encoding, and a thin RAII wrapper over a POSIX file descriptor.
 //
 // All on-disk integers are little-endian regardless of host order so
 // journal/snapshot files survive a machine change. Writes go through
@@ -22,12 +22,20 @@ namespace crowd::server {
 
 /// \brief CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) of a
 /// byte range. Used to detect torn or corrupted journal records and
-/// snapshot payloads.
+/// snapshot payloads. Table-driven (slicing-by-8, tables built at
+/// compile time): recovery checksums a multi-megabyte snapshot payload
+/// and compaction does so under the service lock, so the byte rate
+/// matters as much as the 20-byte journal records do.
 uint32_t Crc32(const void* data, size_t size);
 
 /// Appends `v` to `out` in little-endian byte order.
 void PutU32(std::vector<uint8_t>* out, uint32_t v);
 void PutU64(std::vector<uint8_t>* out, uint64_t v);
+
+/// Writes `v` at `p` in little-endian byte order (caller guarantees
+/// bounds).
+void PutU32(uint8_t* p, uint32_t v);
+void PutU64(uint8_t* p, uint64_t v);
 
 /// Reads a little-endian integer at `p` (caller guarantees bounds).
 uint32_t GetU32(const uint8_t* p);

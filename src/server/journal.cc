@@ -29,17 +29,15 @@ std::vector<uint8_t> EncodeJournalHeader(const JournalHeader& header) {
   return bytes;
 }
 
-std::vector<uint8_t> EncodeJournalRecord(const JournalRecord& record) {
-  std::vector<uint8_t> payload;
-  payload.reserve(Journal::kRecordBytes - 4);
-  PutU64(&payload, record.seq);
-  PutU32(&payload, static_cast<uint32_t>(record.worker));
-  PutU32(&payload, static_cast<uint32_t>(record.task));
-  PutU32(&payload, static_cast<uint32_t>(record.value));
-  std::vector<uint8_t> bytes;
-  bytes.reserve(Journal::kRecordBytes);
-  PutU32(&bytes, Crc32(payload.data(), payload.size()));
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
+std::array<uint8_t, Journal::kRecordBytes> EncodeJournalRecord(
+    const JournalRecord& record) {
+  std::array<uint8_t, Journal::kRecordBytes> bytes;
+  uint8_t* p = bytes.data();
+  PutU64(p + 4, record.seq);
+  PutU32(p + 12, static_cast<uint32_t>(record.worker));
+  PutU32(p + 16, static_cast<uint32_t>(record.task));
+  PutU32(p + 20, static_cast<uint32_t>(record.value));
+  PutU32(p, Crc32(p + 4, Journal::kRecordBytes - 4));
   return bytes;
 }
 
@@ -146,7 +144,7 @@ Status Journal::Append(const JournalRecord& record) {
         static_cast<unsigned long long>(next_seq())));
   }
   CROWD_SPAN("journal.append");
-  std::vector<uint8_t> bytes = EncodeJournalRecord(record);
+  const auto bytes = EncodeJournalRecord(record);
   CROWD_RETURN_NOT_OK(file_.WriteAll(bytes.data(), bytes.size()));
   last_seq_ = record.seq;
   file_bytes_ += bytes.size();

@@ -26,6 +26,7 @@
 #ifndef CROWD_SERVER_JOURNAL_H_
 #define CROWD_SERVER_JOURNAL_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,12 +57,6 @@ struct JournalRecord {
 };
 
 struct JournalRecovered;
-
-/// Serialized header / record images exactly as written to disk.
-/// Shared by Journal::Create/Append, the recovery replay, and the
-/// fuzz harnesses' round-trip checks.
-std::vector<uint8_t> EncodeJournalHeader(const JournalHeader& header);
-std::vector<uint8_t> EncodeJournalRecord(const JournalRecord& record);
 
 /// \brief Outcome of replaying one journal image from memory.
 struct JournalReplay {
@@ -135,6 +130,15 @@ class Journal {
   uint64_t last_seq_ = 0;
   uint64_t file_bytes_ = 0;
 };
+
+/// Serialized header / record images exactly as written to disk.
+/// Shared by Journal::Create/Append, the recovery replay, and the
+/// fuzz harnesses' round-trip checks. A record is encoded in place,
+/// with no heap allocation, because Append runs under the service
+/// lock for every accepted response.
+std::vector<uint8_t> EncodeJournalHeader(const JournalHeader& header);
+std::array<uint8_t, Journal::kRecordBytes> EncodeJournalRecord(
+    const JournalRecord& record);
 
 /// \brief Result of Journal::Open on an existing file.
 struct JournalRecovered {

@@ -166,7 +166,7 @@ Status Service::Recover() {
         "num_workers and num_tasks are required for a fresh service");
   }
 
-  // 1. Snapshot image, indexed in bulk (an empty matrix without one).
+  // 1. Snapshot image (an empty matrix without one).
   data::ResponseMatrix image(num_workers, num_tasks, 2);
   if (snapshot.has_value()) {
     CROWD_ASSIGN_OR_RETURN(image, snapshot->ToMatrix());
@@ -174,12 +174,13 @@ Status Service::Recover() {
     counters_.snapshot_seq->Set(
         static_cast<int64_t>(snapshot->applied_seq));
   }
-  evaluator_ = std::make_unique<core::IncrementalEvaluator>(
-      std::move(image), options_.binary);
 
-  // 2. Journal tail. Records at or below the snapshot's seq are
-  // already part of the image (a crash between snapshot write and
-  // journal compaction leaves such records behind — harmless).
+  // 2. Journal tail, folded into the image cell by cell. Records at or
+  // below the snapshot's seq are already part of the image (a crash
+  // between snapshot write and journal compaction leaves such records
+  // behind — harmless). ResponseMatrix::Set checks every index and
+  // value, so a CRC-valid record naming a cell outside the universe
+  // fails recovery with a Status.
   if (journal_.has_value()) {
     if (journal_->header().base_seq > last_seq_) {
       return Status::IoError(StrFormat(
@@ -191,7 +192,7 @@ Status Service::Recover() {
     for (const JournalRecord& record : tail) {
       if (record.seq <= last_seq_) continue;
       CROWD_RETURN_NOT_OK(
-          evaluator_->AddResponse(record.worker, record.task, record.value)
+          image.Set(record.worker, record.task, record.value)
               .WithContext(StrFormat(
                   "replaying journal seq %llu",
                   static_cast<unsigned long long>(record.seq))));
@@ -216,6 +217,10 @@ Status Service::Recover() {
     counters_.journal_bytes->Set(
         static_cast<int64_t>(journal_->file_bytes()));
   }
+
+  // 3. One bulk index build over the final image.
+  evaluator_ = std::make_unique<core::IncrementalEvaluator>(
+      std::move(image), options_.binary);
   return Status::OK();
 }
 

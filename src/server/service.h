@@ -28,13 +28,15 @@
 // and survives SIGKILL of the daemon (OS page cache); set
 // `fsync_each_append` to also survive power loss at a heavy latency
 // cost. Recovery sequence (Service::Open with a data_dir):
-//   1. newest snapshot whose checksum validates -> response matrix,
-//      indexed in bulk by IncrementalEvaluator's matrix constructor
+//   1. newest snapshot whose checksum validates -> response matrix
 //      (an empty matrix when there is no snapshot),
-//   2. journal records with seq > snapshot.applied_seq replayed in
-//      order through AddResponse (a torn tail is truncated, never
-//      replayed),
-//   3. fresh journal/snapshot files created when the directory is new.
+//   2. journal records with seq > snapshot.applied_seq written into
+//      that matrix in order with ResponseMatrix::Set (a torn tail is
+//      truncated, never applied; an out-of-range record fails Open),
+//   3. a fresh journal created when the directory is new,
+//   4. one bulk index build: IncrementalEvaluator's matrix
+//      constructor over the final matrix. No response is replayed
+//      through AddResponse.
 
 #ifndef CROWD_SERVER_SERVICE_H_
 #define CROWD_SERVER_SERVICE_H_

@@ -7,7 +7,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "crc32_reference.h"
 #include "gtest/gtest.h"
+#include "rng/random.h"
 #include "server/binary_io.h"
 
 namespace crowd::server {
@@ -36,6 +38,34 @@ TEST(Crc32Test, MatchesZlibVector) {
   const char kCheck[] = "123456789";
   EXPECT_EQ(Crc32(kCheck, 9), 0xCBF43926u);
   EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+std::vector<uint8_t> RandomBytes(size_t size, uint64_t seed) {
+  Random rng(seed);
+  std::vector<uint8_t> bytes(size);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.UniformInt(256));
+  return bytes;
+}
+
+// Every length 0-300 at every start offset 0-16 covers the 8-byte
+// body, the byte tail and each alignment of both.
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const std::vector<uint8_t> buf = RandomBytes(300 + 16, 7);
+  for (size_t offset = 0; offset <= 16; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + offset, len),
+                ReferenceCrc32(buf.data() + offset, len))
+          << "offset " << offset << ", length " << len;
+    }
+  }
+}
+
+// Snapshot payloads run to megabytes; one 4 MiB buffer pins the long
+// run of 8-byte steps.
+TEST(Crc32Test, MatchesBitwiseReferenceOnFourMebibytes) {
+  const std::vector<uint8_t> buf = RandomBytes(4u << 20, 11);
+  EXPECT_EQ(Crc32(buf.data(), buf.size()),
+            ReferenceCrc32(buf.data(), buf.size()));
 }
 
 TEST(ByteReaderTest, SequentialReadsConsumeInOrder) {

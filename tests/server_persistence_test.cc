@@ -446,6 +446,116 @@ TEST(ServiceRecoveryTest, TornJournalTailRollsBackOneResponse) {
   EXPECT_EQ(EvalAllJson(recovered->get()), MWorkerResultBodyJson(want));
 }
 
+// A crash after a snapshot is written but before the journal is
+// compacted leaves a journal whose records start at or below the
+// snapshot's seq. Recovery must skip every record the snapshot already
+// covers — including older values of cells overwritten since — and
+// apply only the ones above it.
+TEST(ServiceRecoveryTest, CompactionCrashWindowAppliesOnlyNewerRecords) {
+  std::string dir = ScratchDir("service_compaction_window");
+  const std::string state = dir + "/state";
+  const std::string journal = state + "/journal.crwj";
+  constexpr size_t kWorkers = 6;
+  constexpr size_t kTasks = 12;
+  constexpr size_t kLateRecords = 8;
+
+  ServiceOptions durable;
+  durable.num_workers = kWorkers;
+  durable.num_tasks = kTasks;
+  durable.data_dir = state;
+  auto service = Service::Open(durable);
+  ASSERT_TRUE(service.ok()) << service.status();
+  ServiceOptions in_memory;
+  in_memory.num_workers = kWorkers;
+  in_memory.num_tasks = kTasks;
+  auto mirror = Service::Open(in_memory);
+  ASSERT_TRUE(mirror.ok()) << mirror.status();
+
+  // 150 responses over 72 cells: many overwrite an earlier answer, so
+  // the pre-snapshot records disagree with the snapshot image.
+  Random rng(5);
+  auto draw = [&rng] {
+    JournalRecord r;
+    r.worker = static_cast<data::WorkerId>(rng.UniformInt(kWorkers));
+    r.task = static_cast<data::TaskId>(rng.UniformInt(kTasks));
+    r.value = static_cast<data::Response>(rng.UniformInt(2));
+    return r;
+  };
+  for (size_t i = 0; i < 150; ++i) {
+    const JournalRecord r = draw();
+    ASSERT_TRUE((*service)->Ingest(r.worker, r.task, r.value).ok());
+    ASSERT_TRUE((*mirror)->Ingest(r.worker, r.task, r.value).ok());
+  }
+  const uint64_t snapshot_seq = (*service)->last_seq();
+  fs::copy_file(journal, dir + "/journal.before_snapshot");
+  auto snap = (*service)->TakeSnapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  ASSERT_EQ(*snap, snapshot_seq);
+  service->reset();
+
+  // Undo the compaction, then append records past the snapshot.
+  fs::copy_file(dir + "/journal.before_snapshot", journal,
+                fs::copy_options::overwrite_existing);
+  uint64_t last_appended = 0;
+  {
+    auto reopened = Journal::Open(journal);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    ASSERT_EQ(reopened->journal.next_seq(), snapshot_seq + 1);
+    for (size_t i = 0; i < kLateRecords; ++i) {
+      JournalRecord r = draw();
+      r.seq = reopened->journal.next_seq();
+      ASSERT_TRUE(reopened->journal.Append(r).ok());
+      ASSERT_TRUE((*mirror)->Ingest(r.worker, r.task, r.value).ok());
+      last_appended = r.seq;
+    }
+  }
+
+  ServiceOptions recover;
+  recover.data_dir = state;
+  auto recovered = Service::Open(recover);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ((*recovered)->last_seq(), last_appended);
+  EXPECT_EQ(StatField((*recovered)->ExecuteLine("STATS"),
+                      "recovered_records"),
+            kLateRecords);
+  EXPECT_EQ(EvalAllJson(recovered->get()), EvalAllJson(mirror->get()));
+}
+
+// A record can pass its CRC and seq checks and still name a cell
+// outside the universe or a value outside the arity (a writer bug or a
+// hand-edited file). Recovery must refuse it with a Status that names
+// the record, never abort.
+TEST(ServiceRecoveryTest, OutOfRangeJournalRecordFailsOpenCleanly) {
+  JournalRecord bad_worker;
+  bad_worker.seq = 3;
+  bad_worker.worker = 3;  // the journal's universe is 3 x 5
+  bad_worker.task = 0;
+  bad_worker.value = 1;
+  JournalRecord bad_value;
+  bad_value.seq = 3;
+  bad_value.worker = 0;
+  bad_value.task = 1;
+  bad_value.value = 2;  // binary: 0 or 1
+  int case_index = 0;
+  for (const JournalRecord& bad : {bad_worker, bad_value}) {
+    std::string dir =
+        ScratchDir("service_bad_record_" + std::to_string(case_index++));
+    fs::create_directories(dir + "/state");
+    std::vector<JournalRecord> records = MakeRecords(2);
+    records.push_back(bad);
+    WriteJournal(dir + "/state/journal.crwj", records);
+
+    ServiceOptions recover;
+    recover.data_dir = dir + "/state";
+    auto service = Service::Open(recover);
+    ASSERT_FALSE(service.ok());
+    EXPECT_TRUE(service.status().IsInvalid()) << service.status();
+    EXPECT_NE(service.status().message().find("replaying journal seq 3"),
+              std::string::npos)
+        << service.status();
+  }
+}
+
 TEST(ServiceRecoveryTest, StaleTempFilesSweptOnOpen) {
   std::string dir = ScratchDir("service_tmp_sweep");
   ServiceOptions options;
