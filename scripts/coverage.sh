@@ -4,7 +4,9 @@
 # Builds an instrumented tree, runs every suite that feeds the parsers
 # (protocol, journal, snapshot, binary_io, csv — unit tests plus the
 # fuzz corpus replay), and fails if line coverage of any parser file
-# drops below the gate. Two toolchains, auto-selected:
+# drops below the gate. response_matrix.cc counts as a parser file:
+# ResponseMatrix::FromCells is where a snapshot's cells are validated.
+# Two toolchains, auto-selected:
 #
 #   clang  source-based coverage (-fprofile-instr-generate) reported
 #          with llvm-profdata/llvm-cov — precise region counts.
@@ -21,6 +23,12 @@
 # compiler-version drift. Raise them when coverage improves; never
 # lower one to make a regression pass.
 #
+# response_matrix.cc is the exception: its gate is the measured 97.59%
+# rounded down, with no drift slack, so a single line that no test runs
+# (say, a branch of FromCells, the snapshot cell check) fails it. The
+# two lines gcov misses are closing braces reached only when push_back
+# throws. A new ResponseMatrix method needs a data_test case with it.
+#
 # protocol.cc gates lower than the rest because roughly a third of its
 # lines are response *serializers* (BinaryReportJson, KaryResultJson)
 # that only execute inside the daemon process, whose counters die with
@@ -36,6 +44,7 @@ PARSER_GATES=(
   src/server/snapshot.cc:90
   src/server/binary_io.cc:90
   src/util/csv.cc:95
+  src/data/response_matrix.cc:97
 )
 PARSER_FILES=()
 for entry in "${PARSER_GATES[@]}"; do
@@ -43,7 +52,7 @@ for entry in "${PARSER_GATES[@]}"; do
 done
 
 # ctest selection: parser-facing unit suites + the corpus replay.
-TEST_REGEX='server_protocol_test|server_persistence_test|server_binary_io_test|server_service_test|server_e2e_test|util_test|fuzz_regression_'
+TEST_REGEX='data_test|server_protocol_test|server_persistence_test|server_binary_io_test|server_service_test|server_e2e_test|util_test|fuzz_regression_'
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD="${COVERAGE_BUILD_DIR:-${ROOT}/build-coverage}"

@@ -1,5 +1,7 @@
 #include "data/response_matrix.h"
 
+#include <utility>
+
 #include "util/string_util.h"
 
 namespace crowd::data {
@@ -12,6 +14,36 @@ ResponseMatrix::ResponseMatrix(size_t num_workers, size_t num_tasks,
       cells_(num_workers * num_tasks, kMissing) {
   CROWD_CHECK_GE(arity, 2);
   CROWD_CHECK_LE(arity, 32767);
+}
+
+Result<ResponseMatrix> ResponseMatrix::FromCells(
+    size_t num_workers, size_t num_tasks, int arity,
+    std::vector<int16_t> cells) {
+  if (arity < 2 || arity > 32767) {
+    return Status::Invalid(StrFormat("arity %d outside [2, 32767]", arity));
+  }
+  if ((num_tasks != 0 && num_workers > cells.size() / num_tasks) ||
+      cells.size() != num_workers * num_tasks) {
+    return Status::Invalid("cell count does not match the shape");
+  }
+  // Branch-free, so the pass vectorizes: v is -1 or in [0, arity)
+  // exactly when v + 1 is in [0, arity].
+  bool out_of_range = false;
+  size_t present = 0;
+  for (int16_t v : cells) {
+    out_of_range |=
+        static_cast<unsigned>(v + 1) > static_cast<unsigned>(arity);
+    present += v != kMissing;
+  }
+  if (out_of_range) {
+    return Status::Invalid("cell value outside [0, arity) and not missing");
+  }
+  ResponseMatrix matrix(0, 0, arity);
+  matrix.total_responses_ = present;
+  matrix.num_workers_ = num_workers;
+  matrix.num_tasks_ = num_tasks;
+  matrix.cells_ = std::move(cells);
+  return matrix;
 }
 
 Status ResponseMatrix::Set(WorkerId w, TaskId t, Response r) {
@@ -80,20 +112,16 @@ std::vector<TaskId> ResponseMatrix::CommonTasks(WorkerId a,
 
 Result<ResponseMatrix> ResponseMatrix::SelectWorkers(
     const std::vector<WorkerId>& workers) const {
-  ResponseMatrix out(workers.size(), num_tasks_, arity_);
-  for (size_t i = 0; i < workers.size(); ++i) {
-    if (workers[i] >= num_workers_) {
-      return Status::Invalid(
-          StrFormat("worker id %zu out of range", workers[i]));
+  std::vector<int16_t> cells;
+  cells.reserve(workers.size() * num_tasks_);
+  for (WorkerId w : workers) {
+    if (w >= num_workers_) {
+      return Status::Invalid(StrFormat("worker id %zu out of range", w));
     }
-    for (TaskId t = 0; t < num_tasks_; ++t) {
-      auto r = Get(workers[i], t);
-      if (r.has_value()) {
-        CROWD_RETURN_NOT_OK(out.Set(i, t, *r));
-      }
-    }
+    const int16_t* row = cells_.data() + w * num_tasks_;
+    cells.insert(cells.end(), row, row + num_tasks_);
   }
-  return out;
+  return FromCells(workers.size(), num_tasks_, arity_, std::move(cells));
 }
 
 }  // namespace crowd::data

@@ -28,6 +28,12 @@ class ResponseMatrix {
   /// An empty matrix with the given shape and response arity (>= 2).
   ResponseMatrix(size_t num_workers, size_t num_tasks, int arity);
 
+  /// Takes ownership of num_workers * num_tasks row-major `cells`, each
+  /// -1 (missing) or in [0, arity); checks and counts them in one pass.
+  static Result<ResponseMatrix> FromCells(size_t num_workers,
+                                          size_t num_tasks, int arity,
+                                          std::vector<int16_t> cells);
+
   size_t num_workers() const { return num_workers_; }
   size_t num_tasks() const { return num_tasks_; }
   int arity() const { return arity_; }
@@ -67,6 +73,9 @@ class ResponseMatrix {
 
   /// Task ids attempted by both workers, ascending.
   std::vector<TaskId> CommonTasks(WorkerId a, WorkerId b) const;
+
+  /// The dense storage, in FromCells's layout.
+  const std::vector<int16_t>& cells() const { return cells_; }
 
   /// A copy restricted to the given workers (re-indexed 0..k-1 in the
   /// order given). Task set and indices are unchanged.

@@ -133,16 +133,17 @@ Status Service::Recover() {
     disk_arity = journal_header->arity;
   }
   if (snapshot.has_value()) {
+    const data::ResponseMatrix& matrix = snapshot->matrix;
     if (journal_header.has_value() &&
-        (snapshot->num_workers != disk_workers ||
-         snapshot->num_tasks != disk_tasks ||
-         snapshot->arity != disk_arity)) {
+        (matrix.num_workers() != disk_workers ||
+         matrix.num_tasks() != disk_tasks ||
+         matrix.arity() != static_cast<int>(disk_arity))) {
       return Status::IoError(
           "snapshot and journal disagree on the worker/task universe");
     }
-    disk_workers = snapshot->num_workers;
-    disk_tasks = snapshot->num_tasks;
-    disk_arity = snapshot->arity;
+    disk_workers = static_cast<uint32_t>(matrix.num_workers());
+    disk_tasks = static_cast<uint32_t>(matrix.num_tasks());
+    disk_arity = static_cast<uint32_t>(matrix.arity());
   }
   if (disk_workers != 0 || disk_tasks != 0) {
     if ((num_workers != 0 && num_workers != disk_workers) ||
@@ -167,9 +168,10 @@ Status Service::Recover() {
   }
 
   // 1. Snapshot image (an empty matrix without one).
-  data::ResponseMatrix image(num_workers, num_tasks, 2);
+  data::ResponseMatrix image =
+      snapshot.has_value() ? std::move(snapshot->matrix)
+                           : data::ResponseMatrix(num_workers, num_tasks, 2);
   if (snapshot.has_value()) {
-    CROWD_ASSIGN_OR_RETURN(image, snapshot->ToMatrix());
     last_seq_ = snapshot->applied_seq;
     counters_.snapshot_seq->Set(
         static_cast<int64_t>(snapshot->applied_seq));

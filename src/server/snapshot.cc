@@ -24,36 +24,6 @@ constexpr const char* kSuffix = ".crws";
 
 }  // namespace
 
-Result<data::ResponseMatrix> SnapshotData::ToMatrix() const {
-  // Validate before constructing: ResponseMatrix CHECK-fails on an
-  // arity outside [2, 32767], and a SnapshotData built by hand (or a
-  // future decoder bug) must surface as a Status, not an abort.
-  if (arity < 2 || arity > 32767) {
-    return Status::Invalid(
-        StrFormat("snapshot arity %u outside [2, 32767]", arity));
-  }
-  data::ResponseMatrix matrix(num_workers, num_tasks,
-                              static_cast<int>(arity));
-  if (cells.size() !=
-      static_cast<size_t>(num_workers) * num_tasks) {
-    return Status::Internal("snapshot cell count mismatch");
-  }
-  for (data::WorkerId w = 0; w < num_workers; ++w) {
-    for (data::TaskId t = 0; t < num_tasks; ++t) {
-      int16_t v = cells[w * num_tasks + t];
-      if (v == -1) continue;  // missing sentinel
-      if (v < -1) {
-        return Status::Invalid(
-            StrFormat("snapshot cell (%zu, %zu) holds invalid value %d",
-                      static_cast<size_t>(w), static_cast<size_t>(t),
-                      static_cast<int>(v)));
-      }
-      CROWD_RETURN_NOT_OK(matrix.Set(w, t, v));
-    }
-  }
-  return matrix;
-}
-
 std::string SnapshotPath(const std::string& dir, uint64_t seq) {
   return StrFormat("%s/%s%020llu%s", dir.c_str(), kPrefix,
                    static_cast<unsigned long long>(seq), kSuffix);
@@ -61,33 +31,25 @@ std::string SnapshotPath(const std::string& dir, uint64_t seq) {
 
 std::vector<uint8_t> EncodeSnapshot(const data::ResponseMatrix& responses,
                                     uint64_t applied_seq) {
-  const size_t nw = responses.num_workers();
-  const size_t nt = responses.num_tasks();
-  std::vector<uint8_t> payload;
-  payload.reserve(nw * nt * 2);
-  for (data::WorkerId w = 0; w < nw; ++w) {
-    for (data::TaskId t = 0; t < nt; ++t) {
-      auto r = responses.Get(w, t);
-      int16_t cell =
-          r.has_value() ? static_cast<int16_t>(*r) : int16_t{-1};
-      uint16_t u = static_cast<uint16_t>(cell);
-      payload.push_back(static_cast<uint8_t>(u));
-      payload.push_back(static_cast<uint8_t>(u >> 8));
-    }
+  const std::vector<int16_t>& cells = responses.cells();
+  const size_t payload_bytes = 2 * cells.size();
+  std::vector<uint8_t> bytes(kHeaderBytes + payload_bytes);
+  uint8_t* header = bytes.data();
+  PutU32(header, kMagic);
+  PutU32(header + 4, kVersion);
+  PutU32(header + 8, static_cast<uint32_t>(responses.num_workers()));
+  PutU32(header + 12, static_cast<uint32_t>(responses.num_tasks()));
+  PutU32(header + 16, static_cast<uint32_t>(responses.arity()));
+  // header + 20: reserved u32, zero in version 1 (already zeroed).
+  PutU64(header + 24, applied_seq);
+  PutU64(header + 32, payload_bytes);
+  uint8_t* payload = header + kHeaderBytes;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const auto u = static_cast<uint16_t>(cells[i]);
+    payload[2 * i] = static_cast<uint8_t>(u);
+    payload[2 * i + 1] = static_cast<uint8_t>(u >> 8);
   }
-
-  std::vector<uint8_t> bytes;
-  bytes.reserve(kHeaderBytes + payload.size());
-  PutU32(&bytes, kMagic);
-  PutU32(&bytes, kVersion);
-  PutU32(&bytes, static_cast<uint32_t>(nw));
-  PutU32(&bytes, static_cast<uint32_t>(nt));
-  PutU32(&bytes, static_cast<uint32_t>(responses.arity()));
-  PutU32(&bytes, 0);  // reserved, zero in version 1
-  PutU64(&bytes, applied_seq);
-  PutU64(&bytes, payload.size());
-  PutU32(&bytes, Crc32(payload.data(), payload.size()));
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  PutU32(header + 40, Crc32(payload, payload_bytes));
   return bytes;
 }
 
@@ -105,16 +67,18 @@ Result<SnapshotData> DecodeSnapshot(const uint8_t* data, size_t size,
     return Status::IoError(StrFormat("snapshot %s: unsupported version %u",
                                      context.c_str(), version));
   }
-  SnapshotData out;
-  CROWD_ASSIGN_OR_RETURN(out.num_workers, reader.ReadU32());
-  CROWD_ASSIGN_OR_RETURN(out.num_tasks, reader.ReadU32());
-  CROWD_ASSIGN_OR_RETURN(out.arity, reader.ReadU32());
+  CROWD_ASSIGN_OR_RETURN(uint32_t num_workers, reader.ReadU32());
+  CROWD_ASSIGN_OR_RETURN(uint32_t num_tasks, reader.ReadU32());
+  CROWD_ASSIGN_OR_RETURN(uint32_t arity, reader.ReadU32());
   CROWD_ASSIGN_OR_RETURN(uint32_t reserved, reader.ReadU32());
-  CROWD_ASSIGN_OR_RETURN(out.applied_seq, reader.ReadU64());
+  CROWD_ASSIGN_OR_RETURN(uint64_t applied_seq, reader.ReadU64());
   CROWD_ASSIGN_OR_RETURN(uint64_t payload_bytes, reader.ReadU64());
   CROWD_ASSIGN_OR_RETURN(uint32_t crc, reader.ReadU32());
   if (reserved != 0) return corrupt("reserved header field is not zero");
-  if (out.arity < 2 || out.arity > 32767) {
+  // FromCells checks the arity and the shape again. These header copies
+  // stay: they run before the cell vector is allocated, so a forged
+  // header cannot choose the allocation size.
+  if (arity < 2 || arity > 32767) {
     return corrupt("arity outside [2, 32767]");
   }
   // The declared payload length and the declared dimensions must both
@@ -127,8 +91,7 @@ Result<SnapshotData> DecodeSnapshot(const uint8_t* data, size_t size,
   }
   const uint64_t cell_count = payload_bytes / 2;
   if (payload_bytes % 2 != 0 ||
-      static_cast<uint64_t>(out.num_workers) * out.num_tasks !=
-          cell_count) {
+      static_cast<uint64_t>(num_workers) * num_tasks != cell_count) {
     return corrupt("truncated payload");
   }
   CROWD_ASSIGN_OR_RETURN(const uint8_t* payload,
@@ -136,17 +99,17 @@ Result<SnapshotData> DecodeSnapshot(const uint8_t* data, size_t size,
   if (Crc32(payload, static_cast<size_t>(payload_bytes)) != crc) {
     return corrupt("checksum mismatch");
   }
-  out.cells.resize(static_cast<size_t>(cell_count));
-  for (size_t i = 0; i < out.cells.size(); ++i) {
-    uint16_t u = static_cast<uint16_t>(
-        payload[2 * i] | (payload[2 * i + 1] << 8));
-    auto v = static_cast<int16_t>(u);
-    if (v < -1 || (v >= 0 && static_cast<uint32_t>(v) >= out.arity)) {
-      return corrupt("cell value outside [0, arity) and not missing");
-    }
-    out.cells[i] = v;
+  std::vector<int16_t> cells(static_cast<size_t>(cell_count));
+  for (size_t i = 0; i < cells.size(); ++i) {
+    cells[i] = static_cast<int16_t>(
+        static_cast<uint16_t>(payload[2 * i] | (payload[2 * i + 1] << 8)));
   }
-  return out;
+  auto matrix = data::ResponseMatrix::FromCells(
+      num_workers, num_tasks, static_cast<int>(arity), std::move(cells));
+  if (!matrix.ok()) {
+    return corrupt("cell value outside [0, arity) and not missing");
+  }
+  return SnapshotData{applied_seq, std::move(*matrix)};
 }
 
 Result<uint64_t> WriteSnapshot(const std::string& dir,

@@ -11,8 +11,8 @@
 //   u32 num_workers    u32 num_tasks    u32 arity   u32 reserved
 //   u64 applied_seq    u64 payload_bytes
 //   u32 crc32(payload)
-//   payload: num_workers * num_tasks cells, int16 each, row-major
-//            (-1 = missing, matching ResponseMatrix's sentinel)
+//   payload: ResponseMatrix::cells(), num_workers * num_tasks int16
+//            cells, row-major (-1 = missing, else in [0, arity))
 //
 // Snapshots are written to a temp file, fsynced, then renamed into
 // place, so a crash mid-write never clobbers the previous snapshot.
@@ -31,23 +31,19 @@ namespace crowd::server {
 
 /// \brief Decoded snapshot contents.
 struct SnapshotData {
-  uint32_t num_workers = 0;
-  uint32_t num_tasks = 0;
-  uint32_t arity = 2;
   /// Journal seq covered: replay records with seq > applied_seq.
   uint64_t applied_seq = 0;
-  /// Dense cells, row-major, -1 = missing.
-  std::vector<int16_t> cells;
-
-  /// Reconstructs the response matrix the snapshot captured.
-  Result<data::ResponseMatrix> ToMatrix() const;
+  /// The response matrix the snapshot captured.
+  data::ResponseMatrix matrix;
 };
 
 /// Path of the snapshot covering `seq` inside `dir`.
 std::string SnapshotPath(const std::string& dir, uint64_t seq);
 
 /// \brief Serializes `responses` into the on-disk snapshot format
-/// (header + CRC + payload) without touching the filesystem.
+/// (header + CRC + payload) without touching the filesystem. The
+/// payload is ResponseMatrix::cells() in little-endian order, so
+/// decoding and re-encoding reproduce the input bytes exactly.
 std::vector<uint8_t> EncodeSnapshot(const data::ResponseMatrix& responses,
                                     uint64_t applied_seq);
 
@@ -56,8 +52,10 @@ std::vector<uint8_t> EncodeSnapshot(const data::ResponseMatrix& responses,
 /// Every declared size (dimensions, payload length) is checked against
 /// the bytes actually present before anything is allocated or copied,
 /// so arbitrary input can at worst produce an IoError — never an
-/// over-read or an attacker-chosen allocation. `context` names the
-/// source (e.g. the file path) in error messages.
+/// over-read or an attacker-chosen allocation. The payload decodes
+/// straight into the matrix (ResponseMatrix::FromCells checks each
+/// cell), so success means a valid matrix. `context` names the source
+/// (e.g. the file path) in error messages.
 Result<SnapshotData> DecodeSnapshot(const uint8_t* data, size_t size,
                                     const std::string& context);
 

@@ -7,7 +7,6 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -109,6 +108,8 @@ Status SocketServer::Start() {
 
 void SocketServer::AcceptLoop() {
   while (running_.load()) {
+    // An exited thread keeps its stack mapped until it is joined.
+    JoinFinished();
     // Poll with a timeout so Stop() is observed promptly even with no
     // incoming connection to wake the loop.
     pollfd pfd{listen_fd_, POLLIN, 0};
@@ -126,10 +127,17 @@ void SocketServer::AcceptLoop() {
                     "client connections accepted")
         ->Increment();
     util::MutexLock lock(client_mu_);
-    client_fds_.push_back(fd);
-    client_threads_.emplace_back(
-        [this, fd] { ServeConnection(fd); });
+    clients_.emplace(fd, std::thread([this, fd] { ServeConnection(fd); }));
   }
+}
+
+void SocketServer::JoinFinished() {
+  std::vector<std::thread> finished;
+  {
+    util::MutexLock lock(client_mu_);
+    finished.swap(finished_);
+  }
+  for (std::thread& t : finished) t.join();
 }
 
 void SocketServer::ServeConnection(int fd) {
@@ -170,12 +178,16 @@ void SocketServer::ServeConnection(int fd) {
     }
     buffer.erase(0, start);
   }
-  ::close(fd);
   active->Subtract(1);
-  util::MutexLock lock(client_mu_);
-  client_fds_.erase(
-      std::remove(client_fds_.begin(), client_fds_.end(), fd),
-      client_fds_.end());
+  {
+    util::MutexLock lock(client_mu_);
+    // Stop() may have taken this thread over already; it joins it.
+    auto self = clients_.extract(fd);
+    if (!self.empty()) finished_.push_back(std::move(self.mapped()));
+  }
+  // Closed only once out of clients_: accept() may hand the same fd
+  // number to the next connection.
+  ::close(fd);
 }
 
 void SocketServer::Stop() {
@@ -195,20 +207,16 @@ void SocketServer::Stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
+  std::map<int, std::thread> clients;
   {
     // Wake blocked recv()s; the connection threads then exit and
     // close their own fds.
     util::MutexLock lock(client_mu_);
-    for (int fd : client_fds_) ::shutdown(fd, SHUT_RDWR);
+    for (auto& [fd, thread] : clients_) ::shutdown(fd, SHUT_RDWR);
+    clients.swap(clients_);
   }
-  std::vector<std::thread> threads;
-  {
-    util::MutexLock lock(client_mu_);
-    threads.swap(client_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& [fd, thread] : clients) thread.join();
+  JoinFinished();
   if (!options_.unix_path.empty()) {
     ::unlink(options_.unix_path.c_str());
   }

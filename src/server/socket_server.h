@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -54,6 +55,8 @@ class SocketServer {
  private:
   void AcceptLoop() CROWD_EXCLUDES(client_mu_);
   void ServeConnection(int fd) CROWD_EXCLUDES(client_mu_);
+  /// Joins the threads of connections that have closed.
+  void JoinFinished() CROWD_EXCLUDES(client_mu_);
 
   Service* service_;
   SocketServerOptions options_;
@@ -65,8 +68,10 @@ class SocketServer {
   std::thread accept_thread_;
 
   util::Mutex client_mu_;
-  std::vector<int> client_fds_ CROWD_GUARDED_BY(client_mu_);
-  std::vector<std::thread> client_threads_ CROWD_GUARDED_BY(client_mu_);
+  /// Open connections: socket fd -> the thread serving it.
+  std::map<int, std::thread> clients_ CROWD_GUARDED_BY(client_mu_);
+  /// Threads whose connection has closed, not yet joined.
+  std::vector<std::thread> finished_ CROWD_GUARDED_BY(client_mu_);
 };
 
 }  // namespace crowd::server

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <vector>
 
 #include "data/dataset.h"
 #include "data/dataset_io.h"
@@ -54,6 +56,71 @@ TEST(ResponseMatrix, CountsAndDensity) {
   EXPECT_DOUBLE_EQ(m.Density(), 3.0 / 8.0);
   EXPECT_EQ(m.TasksOf(0), (std::vector<TaskId>{0, 1}));
   EXPECT_EQ(m.CommonTasks(0, 1), (std::vector<TaskId>{1}));
+}
+
+TEST(ResponseMatrix, FromCellsAcceptsMissingAndEveryValue) {
+  constexpr int kArity = 5;
+  std::vector<int16_t> cells = {-1, 0, 1, 2, 3, 4};
+  auto m = ResponseMatrix::FromCells(2, 3, kArity, cells);
+  ASSERT_TRUE(m.ok()) << m.status();
+  EXPECT_EQ(m->arity(), kArity);
+  EXPECT_FALSE(m->Has(0, 0));
+  for (size_t i = 1; i < cells.size(); ++i) {
+    EXPECT_EQ(m->Get(i / 3, i % 3), cells[i]) << i;
+  }
+  EXPECT_EQ(m->TotalResponses(), 5u);
+  EXPECT_EQ(m->cells(), cells);
+  // The largest arity admits the largest int16 value.
+  EXPECT_TRUE(ResponseMatrix::FromCells(1, 2, 32767, {-1, 32766}).ok());
+  // Empty shapes hold no cells.
+  EXPECT_TRUE(ResponseMatrix::FromCells(0, 4, 2, {}).ok());
+  EXPECT_TRUE(ResponseMatrix::FromCells(4, 0, 2, {}).ok());
+}
+
+TEST(ResponseMatrix, FromCellsRejectsInvalidInput) {
+  EXPECT_TRUE(
+      ResponseMatrix::FromCells(1, 2, 3, {0, -2}).status().IsInvalid());
+  EXPECT_TRUE(
+      ResponseMatrix::FromCells(1, 2, 3, {3, 0}).status().IsInvalid());
+  EXPECT_TRUE(ResponseMatrix::FromCells(1, 2, 3, {-32768, 0})
+                  .status()
+                  .IsInvalid());
+  EXPECT_TRUE(
+      ResponseMatrix::FromCells(2, 2, 3, {0, 1, 2}).status().IsInvalid());
+  EXPECT_TRUE(
+      ResponseMatrix::FromCells(1, 2, 3, {0, 1, 2}).status().IsInvalid());
+  EXPECT_TRUE(
+      ResponseMatrix::FromCells(1, 1, 1, {0}).status().IsInvalid());
+  EXPECT_TRUE(
+      ResponseMatrix::FromCells(1, 1, 32768, {0}).status().IsInvalid());
+  // A shape whose cell count overflows size_t is a mismatch, not a
+  // wrapped product that happens to equal the vector's size.
+  const size_t half = size_t{1} << (sizeof(size_t) * 4);
+  EXPECT_TRUE(
+      ResponseMatrix::FromCells(half, half, 2, {}).status().IsInvalid());
+}
+
+TEST(ResponseMatrix, FromCellsMatchesMatrixBuiltWithSet) {
+  Random rng(23);
+  ResponseMatrix built(6, 11, 4);
+  for (WorkerId w = 0; w < 6; ++w) {
+    for (TaskId t = 0; t < 11; ++t) {
+      if (rng.Bernoulli(0.4)) {
+        built.Set(w, t, static_cast<int>(rng.UniformInt(4)))
+            .AbortIfNotOk();
+      }
+    }
+  }
+  auto m = ResponseMatrix::FromCells(6, 11, 4, built.cells());
+  ASSERT_TRUE(m.ok()) << m.status();
+  EXPECT_EQ(m->TotalResponses(), built.TotalResponses());
+  EXPECT_DOUBLE_EQ(m->Density(), built.Density());
+  for (WorkerId w = 0; w < 6; ++w) {
+    for (TaskId t = 0; t < 11; ++t) {
+      EXPECT_EQ(m->Get(w, t), built.Get(w, t)) << w << "," << t;
+    }
+  }
+  EXPECT_EQ(m->cells(), built.cells());
 }
 
 TEST(ResponseMatrix, SelectWorkersReindexes) {

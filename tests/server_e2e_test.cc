@@ -351,6 +351,53 @@ TEST(CrowdevaldE2eTest, OverlongRequestLineClosesOnlyThatConnection) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
+// The daemon's virtual size in kB, from /proc/<pid>/status.
+long VmSizeKb(pid_t pid) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  }
+  ADD_FAILURE() << "no VmSize in /proc/" << pid << "/status";
+  return 0;
+}
+
+// Each connection runs on its own thread, and an exited thread keeps
+// its stack (8 MB of address space by default) until it is joined.
+// Connection churn must not accumulate them: 300 connections that
+// leaked their thread would add over 2 GB.
+TEST(CrowdevaldE2eTest, ConnectionChurnDoesNotGrowVirtualSize) {
+  const std::string dir = testing::TempDir() + "/crowdevald_churn_" +
+                          std::to_string(::getpid());
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string socket_path = dir + "/sock";
+  const std::string log_path = dir + "/daemon.log";
+  pid_t pid = SpawnDaemon({"--workers=4", "--tasks=8"}, socket_path,
+                          log_path);
+  ASSERT_GT(pid, 0);
+  {
+    Client warmup(socket_path);
+    EXPECT_EQ(warmup.RoundTrip("QUIT"), "{\"ok\":true,\"bye\":true}");
+    EXPECT_TRUE(warmup.AtEof());
+  }
+  const long before_kb = VmSizeKb(pid);
+  for (int i = 0; i < 300; ++i) {
+    Client client(socket_path);
+    ASSERT_EQ(client.RoundTrip("QUIT"), "{\"ok\":true,\"bye\":true}")
+        << "connection " << i;
+    EXPECT_TRUE(client.AtEof());
+  }
+  const long after_kb = VmSizeKb(pid);
+  EXPECT_LT(after_kb - before_kb, 128 * 1024)
+      << "VmSize " << before_kb << " kB -> " << after_kb << " kB";
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
 // Checks one Prometheus exposition line: blank, `# HELP <name> <text>`,
 // `# TYPE <name> counter|gauge|histogram`, or `name[{labels}] value`.
 // The caller checks that the `# EOF` terminator comes last.

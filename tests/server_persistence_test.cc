@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/incremental.h"
@@ -17,7 +18,9 @@
 #include "server/protocol.h"
 #include "server/service.h"
 #include "server/snapshot.h"
+#include "snapshot_reference.h"
 #include "stats_reply.h"
+#include "util/string_util.h"
 
 namespace crowd::server {
 namespace {
@@ -158,15 +161,14 @@ TEST(SnapshotTest, RoundTrip) {
   ASSERT_TRUE(bytes.ok()) << bytes.status();
   auto loaded = LoadSnapshot(SnapshotPath(dir, 42));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->num_workers, 4u);
-  EXPECT_EQ(loaded->num_tasks, 6u);
+  const data::ResponseMatrix& back = loaded->matrix;
+  EXPECT_EQ(back.num_workers(), 4u);
+  EXPECT_EQ(back.num_tasks(), 6u);
   EXPECT_EQ(loaded->applied_seq, 42u);
 
-  auto back = loaded->ToMatrix();
-  ASSERT_TRUE(back.ok()) << back.status();
   for (data::WorkerId w = 0; w < 4; ++w) {
     for (data::TaskId t = 0; t < 6; ++t) {
-      EXPECT_EQ(back->Get(w, t), matrix.Get(w, t)) << w << "," << t;
+      EXPECT_EQ(back.Get(w, t), matrix.Get(w, t)) << w << "," << t;
     }
   }
 }
@@ -232,9 +234,7 @@ TEST(SnapshotTest, ByteFlipAtEveryOffsetIsCrashFreeAndConsistent) {
     // decode must still be internally consistent and re-encode to the
     // exact bytes it was parsed from.
     ++survivors;
-    auto back = decoded->ToMatrix();
-    ASSERT_TRUE(back.ok()) << "offset " << i << ": " << back.status();
-    EXPECT_EQ(EncodeSnapshot(*back, decoded->applied_seq), mutated)
+    EXPECT_EQ(EncodeSnapshot(decoded->matrix, decoded->applied_seq), mutated)
         << "offset " << i;
   }
   // The CRC covers the payload and the header is fully validated, so
@@ -330,6 +330,120 @@ TEST(SnapshotTest, ListAndRemove) {
   seqs = ListSnapshotSeqs(dir);
   ASSERT_TRUE(seqs.ok());
   EXPECT_EQ(*seqs, (std::vector<uint64_t>{10}));
+}
+
+// ---------------------------------------------------------------------
+// The codec against its two-pass reference (tests/snapshot_reference.h).
+
+data::ResponseMatrix RandomMatrix(size_t workers, size_t tasks, int arity,
+                                  double density, Random* rng) {
+  data::ResponseMatrix matrix(workers, tasks, arity);
+  for (data::WorkerId w = 0; w < workers; ++w) {
+    for (data::TaskId t = 0; t < tasks; ++t) {
+      if (rng->Bernoulli(density)) {
+        matrix
+            .Set(w, t,
+                 static_cast<int>(
+                     rng->UniformInt(static_cast<uint64_t>(arity))))
+            .AbortIfNotOk();
+      }
+    }
+  }
+  return matrix;
+}
+
+void ExpectSameMatrix(const data::ResponseMatrix& actual,
+                      const data::ResponseMatrix& expected) {
+  EXPECT_EQ(actual.num_workers(), expected.num_workers());
+  EXPECT_EQ(actual.num_tasks(), expected.num_tasks());
+  EXPECT_EQ(actual.arity(), expected.arity());
+  EXPECT_EQ(actual.TotalResponses(), expected.TotalResponses());
+  EXPECT_EQ(actual.cells(), expected.cells());
+}
+
+// The new decode accepts exactly what the reference accepts, rejects
+// only with IoError, and decodes what both accept to the same matrix.
+void ExpectDecodeAgreesWithReference(const std::vector<uint8_t>& bytes,
+                                     const std::string& label) {
+  SCOPED_TRACE(label);
+  auto decoded = DecodeSnapshot(bytes.data(), bytes.size(), "oracle");
+  auto reference = ReferenceDecodeToMatrix(bytes.data(), bytes.size());
+  ASSERT_EQ(decoded.ok(), reference.ok())
+      << decoded.status() << " vs reference " << reference.status();
+  if (!decoded.ok()) {
+    EXPECT_TRUE(decoded.status().IsIoError()) << decoded.status();
+    return;
+  }
+  ExpectSameMatrix(decoded->matrix, *reference);
+}
+
+TEST(SnapshotOracleTest, RandomMatricesEncodeAndDecodeLikeReference) {
+  Random rng(2015);
+  const std::pair<size_t, size_t> shapes[] = {
+      {0, 5}, {5, 0}, {1, 1}, {7, 13}, {40, 300}};
+  for (int arity : {2, 3, 7}) {
+    for (auto [workers, tasks] : shapes) {
+      for (double density : {0.0, 0.3, 1.0}) {
+        SCOPED_TRACE(StrFormat("%zux%zu arity %d density %.1f", workers,
+                               tasks, arity, density));
+        const data::ResponseMatrix matrix =
+            RandomMatrix(workers, tasks, arity, density, &rng);
+        const uint64_t seq = rng.NextUint64();
+        const std::vector<uint8_t> bytes = EncodeSnapshot(matrix, seq);
+        ASSERT_EQ(bytes, ReferenceEncodeSnapshot(matrix, seq));
+
+        auto decoded = DecodeSnapshot(bytes.data(), bytes.size(), "oracle");
+        ASSERT_TRUE(decoded.ok()) << decoded.status();
+        EXPECT_EQ(decoded->applied_seq, seq);
+        ExpectSameMatrix(decoded->matrix, matrix);
+        auto reference = ReferenceDecodeToMatrix(bytes.data(), bytes.size());
+        ASSERT_TRUE(reference.ok()) << reference.status();
+        ExpectSameMatrix(decoded->matrix, *reference);
+      }
+    }
+  }
+}
+
+// Every truncation and every byte flip of one image. A flip in the
+// payload is tried twice: as is (the CRC rejects it) and with the CRC
+// re-sealed, so the cell range check alone decides.
+TEST(SnapshotOracleTest, DamagedImagesAcceptedExactlyLikeReference) {
+  Random rng(17);
+  const data::ResponseMatrix matrix = RandomMatrix(3, 5, 3, 0.6, &rng);
+  const std::vector<uint8_t> full = EncodeSnapshot(matrix, 12345);
+  constexpr size_t kHeaderBytes = 44;
+
+  for (size_t cut = 0; cut <= full.size(); ++cut) {
+    ExpectDecodeAgreesWithReference(
+        std::vector<uint8_t>(full.begin(), full.begin() + cut),
+        StrFormat("cut at %zu", cut));
+  }
+  for (size_t i = 0; i < full.size(); ++i) {
+    for (uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+      std::vector<uint8_t> flipped = full;
+      flipped[i] ^= mask;
+      ExpectDecodeAgreesWithReference(
+          flipped, StrFormat("flip 0x%02x at %zu", mask, i));
+      if (i < kHeaderBytes) continue;
+      PutU32(flipped.data() + 40,
+             Crc32(flipped.data() + kHeaderBytes,
+                   flipped.size() - kHeaderBytes));
+      ExpectDecodeAgreesWithReference(
+          flipped, StrFormat("resealed flip 0x%02x at %zu", mask, i));
+    }
+  }
+}
+
+TEST(SnapshotOracleTest, FuzzCorpusAcceptedExactlyLikeReference) {
+  size_t seeds = 0;
+  for (const auto& entry :
+       fs::directory_iterator(CROWD_FUZZ_CORPUS_DIR "/fuzz_snapshot")) {
+    auto bytes = ReadFileBytes(entry.path().string());
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    ExpectDecodeAgreesWithReference(*bytes, entry.path().filename());
+    ++seeds;
+  }
+  EXPECT_GE(seeds, 16u);
 }
 
 // ---------------------------------------------------------------------
