@@ -11,6 +11,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "baselines/dawid_skene.h"
 #include "baselines/old_technique.h"
 #include "core/kary_estimator.h"
@@ -19,10 +22,12 @@
 #include "core/triple_combiner.h"
 #include "core/triple_selection.h"
 #include "data/overlap_index.h"
+#include "linalg/cholesky.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rng/random.h"
 #include "sim/simulator.h"
+#include "util/bitops.h"
 
 namespace crowd {
 namespace {
@@ -90,6 +95,56 @@ void BM_CrossTripleCovariance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrossTripleCovariance)->Unit(benchmark::kMicrosecond);
+
+// SharedAttemptRows' gather alone: 196 peer rows (2l at l = 98)
+// compacted to one worker's tasks, 200 x 2000 at density 0.3. Arg 0 is
+// the portable gather, arg 1 the dispatched one (PEXT where the CPU has
+// BMI2), so the pair prices the fallback.
+void BM_GatherBits(benchmark::State& state) {
+  auto sim = MakeBinary(200, 2000, 0.3);
+  const auto& m = sim.dataset.responses();
+  const size_t words = (m.num_tasks() + 63) / 64;
+  std::vector<uint64_t> attempts(m.num_workers() * words, 0);
+  for (data::WorkerId w = 0; w < m.num_workers(); ++w) {
+    for (data::TaskId t = 0; t < m.num_tasks(); ++t) {
+      if (m.Has(w, t)) attempts[w * words + t / 64] |= uint64_t{1} << (t % 64);
+    }
+  }
+  auto gather = state.range(0) == 0 ? util::bitops_internal::GatherBitsPortable
+                                    : util::GatherBits;
+  std::vector<uint64_t> out(words);
+  for (auto _ : state) {
+    for (size_t row = 0; row < 196; ++row) {
+      const data::WorkerId p = 1 + row % (m.num_workers() - 1);
+      gather(attempts.data() + p * words, attempts.data(), words,
+             out.data());
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_GatherBits)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
+// Lemma 5's linear algebra alone: factor and solve C w = 1 for a random
+// SPD matrix of order l (98 is the triples per worker of the 200 x 2000
+// crowd above).
+void BM_Cholesky(benchmark::State& state) {
+  const size_t l = static_cast<size_t>(state.range(0));
+  Random rng(98);
+  linalg::Matrix b(l, l);
+  for (size_t i = 0; i < l; ++i) {
+    for (size_t j = 0; j < l; ++j) b(i, j) = rng.Uniform(-1, 1);
+  }
+  linalg::Matrix c = b * b.Transposed();
+  for (size_t i = 0; i < l; ++i) c(i, i) += 0.5;
+  const linalg::Vector ones(l, 1.0);
+  for (auto _ : state) {
+    auto chol = linalg::CholeskyDecomposition::Compute(c);
+    auto x = chol->Solve(ones);
+    benchmark::DoNotOptimize(x);
+  }
+}
+BENCHMARK(BM_Cholesky)->Arg(98)->Unit(benchmark::kMicrosecond);
 
 void BM_OverlapIndexBuild(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));

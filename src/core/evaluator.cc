@@ -48,14 +48,6 @@ Result<KaryResult> CrowdEvaluator::EvaluateKaryTriple(
   return KaryEvaluate(responses, w1, w2, w3, config_.kary);
 }
 
-KaryMWorkerResult CrowdEvaluator::EvaluateKaryAll(
-    const data::ResponseMatrix& responses,
-    const KaryMWorkerOptions& options) const {
-  KaryMWorkerOptions merged = options;
-  merged.kary = config_.kary;
-  return KaryEvaluateAllWorkers(responses, merged);
-}
-
 std::vector<data::WorkerId> CrowdEvaluator::WorkersConfidentlyBelow(
     const std::vector<WorkerAssessment>& assessments, double threshold) {
   std::vector<data::WorkerId> out;

@@ -57,13 +57,6 @@ class CrowdEvaluator {
       const data::ResponseMatrix& responses, data::WorkerId w1,
       data::WorkerId w2, data::WorkerId w3) const;
 
-  /// \brief Evaluates every worker of a k-ary pool by fusing their
-  /// triples (the m-worker k-ary extension; see core/kary_m_worker.h
-  /// for its stated independence approximation).
-  KaryMWorkerResult EvaluateKaryAll(
-      const data::ResponseMatrix& responses,
-      const KaryMWorkerOptions& options = {}) const;
-
   /// \brief Workers whose entire interval lies below `threshold` —
   /// confidently good workers (retain/hire).
   static std::vector<data::WorkerId> WorkersConfidentlyBelow(

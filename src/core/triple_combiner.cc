@@ -48,8 +48,10 @@ Result<linalg::Matrix> CrossTripleCovariance(
     }
   }
   // Slot 2k + s holds triple k's peer j1 (s = 0) or j2 (s = 1), its
-  // derivative d_{i,peer}, c_{i,peer}, and the row B_peer = A_i & A_peer,
-  // so every c_{i,a,b} below is one two-row AND-popcount.
+  // derivative d_{i,peer}, c_{i,peer}, and the row B_peer = A_i & A_peer
+  // compacted to i's tasks. One kernel call counts c_{i,a,b} for every
+  // slot pair a < b into `c_triple` (row a, column b); the loop below
+  // reads the pairs whose slots belong to different triples.
   std::vector<data::WorkerId> peer(2 * l);
   std::vector<double> d(2 * l);
   std::vector<double> c_i(2 * l);
@@ -64,8 +66,9 @@ Result<linalg::Matrix> CrossTripleCovariance(
     c_i[s] = static_cast<double>(overlap.CommonCount(i, peer[s]));
   }
   std::vector<uint64_t> rows;
-  overlap.SharedAttemptRows(i, peer, &rows);
-  const size_t words = overlap.words_per_worker();
+  const size_t words = overlap.SharedAttemptRows(i, peer, &rows);
+  std::vector<uint32_t> c_triple(4 * l * l);
+  util::AndPopcountPairs(rows.data(), 2 * l, words, c_triple.data());
 
   linalg::Matrix cov(l, l);
   for (size_t k1 = 0; k1 < l; ++k1) {
@@ -79,10 +82,8 @@ Result<linalg::Matrix> CrossTripleCovariance(
       // Terms (j1, j1), (j1, j2), (j2, j1), (j2, j2), in that order.
       for (size_t a = 2 * k1; a < 2 * k1 + 2; ++a) {
         for (size_t b = 2 * k2; b < 2 * k2 + 2; ++b) {
-          const size_t c_triple = util::AndPopcount(
-              rows.data() + a * words, rows.data() + b * words, words);
-          double c = LemmaFourC(overlap, c_triple, peer[a], peer[b], c_i[a],
-                                c_i[b], p_i, options);
+          double c = LemmaFourC(overlap, c_triple[a * 2 * l + b], peer[a],
+                                peer[b], c_i[a], c_i[b], p_i, options);
           sum += d[a] * d[b] * c;
         }
       }

@@ -1,6 +1,8 @@
 #include "data/dataset_io.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/string_util.h"
@@ -8,6 +10,10 @@
 namespace crowd::data {
 
 namespace {
+
+// ResponseMatrix's cells are an int16 vector.
+constexpr int kMaxArity = 32767;
+const size_t kMaxCells = std::vector<int16_t>().max_size();
 
 struct ResponseRow {
   size_t worker;
@@ -29,6 +35,14 @@ Result<std::vector<ResponseRow>> ParseResponseRows(const CsvTable& table) {
     if (w < 0 || t < 0 || r < 0) {
       return Status::IoError(
           StrFormat("negative id in responses row %zu", i + 1));
+    }
+    // The matrix stores int16 cells, so arity (max response + 1) is at
+    // most kMaxArity.
+    if (r >= kMaxArity) {
+      return Status::IoError(StrFormat(
+          "response %lld in responses row %zu is above the largest "
+          "supported response %d",
+          r, i + 1, kMaxArity - 1));
     }
     rows.push_back({static_cast<size_t>(w), static_cast<size_t>(t),
                     static_cast<int>(r)});
@@ -81,9 +95,17 @@ Result<Dataset> LoadDatasetCsv(const std::string& name,
   size_t num_workers = options.num_workers;
   size_t num_tasks = options.num_tasks;
   int arity = options.arity;
-  for (const auto& row : rows) {
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const ResponseRow& row = rows[i];
     num_workers = std::max(num_workers, row.worker + 1);
     num_tasks = std::max(num_tasks, row.task + 1);
+    // Also rules out a cell count that wraps around size_t.
+    if (num_workers > kMaxCells / num_tasks) {
+      return Status::IoError(StrFormat(
+          "responses row %zu makes a %zu x %zu matrix, more cells than "
+          "one vector can hold",
+          i + 1, num_workers, num_tasks));
+    }
     if (arity == 0 || options.arity == 0) {
       arity = std::max(arity, row.response + 1);
     }
@@ -108,11 +130,17 @@ Result<Dataset> LoadDatasetCsv(const std::string& name,
     CROWD_ASSIGN_OR_RETURN(auto gold_table, ReadCsvFile(gold_path));
     CROWD_ASSIGN_OR_RETURN(size_t tcol, gold_table.ColumnIndex("task"));
     CROWD_ASSIGN_OR_RETURN(size_t gcol, gold_table.ColumnIndex("truth"));
-    for (const auto& row : gold_table.rows) {
+    for (size_t i = 0; i < gold_table.rows.size(); ++i) {
+      const auto& row = gold_table.rows[i];
       CROWD_ASSIGN_OR_RETURN(long long t, ParseInt(row[tcol]));
       CROWD_ASSIGN_OR_RETURN(long long g, ParseInt(row[gcol]));
       if (t < 0 || g < 0) {
         return Status::IoError("negative id in gold file");
+      }
+      if (g >= arity) {
+        return Status::IoError(
+            StrFormat("gold label %lld in gold row %zu outside [0, %d)", g,
+                      i + 1, arity));
       }
       CROWD_RETURN_NOT_OK(dataset.SetGold(static_cast<size_t>(t),
                                           static_cast<int>(g)));

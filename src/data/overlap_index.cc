@@ -109,21 +109,22 @@ size_t OverlapIndex::TripleCommonCount(WorkerId i, WorkerId j,
                            words_per_worker_);
 }
 
-void OverlapIndex::SharedAttemptRows(WorkerId i,
-                                     const std::vector<WorkerId>& peers,
-                                     std::vector<uint64_t>* rows) const {
+size_t OverlapIndex::SharedAttemptRows(WorkerId i,
+                                       const std::vector<WorkerId>& peers,
+                                       std::vector<uint64_t>* rows) const {
   CROWD_DCHECK(i < num_workers_);
-  rows->resize(peers.size() * words_per_worker_);
   const uint64_t* ai = AttemptBits(i);
+  // A_i & A_p gathered to A_i's set bits is A_p gathered to them.
+  const size_t width =
+      (util::AndPopcount(ai, ai, words_per_worker_) + 63) / 64;
+  rows->resize(peers.size() * width);
   uint64_t* out = rows->data();
   for (WorkerId p : peers) {
     CROWD_DCHECK(p < num_workers_);
-    const uint64_t* ap = AttemptBits(p);
-    for (size_t word = 0; word < words_per_worker_; ++word) {
-      out[word] = ai[word] & ap[word];
-    }
-    out += words_per_worker_;
+    util::GatherBits(AttemptBits(p), ai, words_per_worker_, out);
+    out += width;
   }
+  return width;
 }
 
 }  // namespace crowd::data

@@ -69,12 +69,15 @@ class OverlapIndex {
   size_t words_per_worker() const { return words_per_worker_; }
 
   /// \brief The rows B_p = A_i & A_p, tasks attempted by both i and p,
-  /// one per entry of `peers` (repeats allowed), written row after row
-  /// into `rows` (resized to peers.size() * words_per_worker()). Then
-  /// c_{i,a,b} = util::AndPopcount(B_a, B_b, words_per_worker()): two
-  /// rows per triple count instead of three.
-  void SharedAttemptRows(WorkerId i, const std::vector<WorkerId>& peers,
-                         std::vector<uint64_t>* rows) const;
+  /// compacted to i's own tasks: bit r of a row is set when p attempted
+  /// the r-th task of i. One row per entry of `peers` (repeats
+  /// allowed), written row after row into `rows` (resized to
+  /// peers.size() * width). Returns width = ceil(|T_i| / 64), which is
+  /// at most words_per_worker(). Then c_{i,a,b} =
+  /// util::AndPopcount(B_a, B_b, width): two rows per triple count
+  /// instead of three, over i's tasks only.
+  size_t SharedAttemptRows(WorkerId i, const std::vector<WorkerId>& peers,
+                           std::vector<uint64_t>* rows) const;
 
   /// Whether worker `w` attempted task `t` (O(1) bit probe).
   bool Attempted(WorkerId w, TaskId t) const {

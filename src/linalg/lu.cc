@@ -115,14 +115,6 @@ double LuDecomposition::Determinant() const {
   return det;
 }
 
-double LuDecomposition::MinAbsPivot() const {
-  double best = std::fabs(lu_(0, 0));
-  for (size_t i = 1; i < size(); ++i) {
-    best = std::min(best, std::fabs(lu_(i, i)));
-  }
-  return best;
-}
-
 Result<Vector> SolveLinearSystem(const Matrix& a, const Vector& b) {
   CROWD_ASSIGN_OR_RETURN(auto lu, LuDecomposition::Compute(a));
   return lu.Solve(b);

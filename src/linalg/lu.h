@@ -36,10 +36,6 @@ class LuDecomposition {
 
   size_t size() const { return lu_.rows(); }
 
-  /// An estimate of the reciprocal condition number based on pivot
-  /// magnitudes (cheap, order-of-magnitude only).
-  double MinAbsPivot() const;
-
  private:
   LuDecomposition(Matrix lu, std::vector<size_t> perm, int perm_sign)
       : lu_(std::move(lu)), perm_(std::move(perm)), perm_sign_(perm_sign) {}

@@ -33,18 +33,6 @@ Matrix Matrix::Diagonal(const Vector& diag) {
   return m;
 }
 
-Matrix Matrix::ColumnVector(const Vector& values) {
-  Matrix m(values.size(), 1);
-  for (size_t i = 0; i < values.size(); ++i) m(i, 0) = values[i];
-  return m;
-}
-
-Matrix Matrix::RowVector(const Vector& values) {
-  Matrix m(1, values.size());
-  for (size_t j = 0; j < values.size(); ++j) m(0, j) = values[j];
-  return m;
-}
-
 Matrix Matrix::Transposed() const {
   Matrix t(cols_, rows_);
   for (size_t i = 0; i < rows_; ++i) {

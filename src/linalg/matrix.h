@@ -35,10 +35,6 @@ class Matrix {
   static Matrix Identity(size_t n);
   /// Square matrix with `diag` on the diagonal.
   static Matrix Diagonal(const Vector& diag);
-  /// Column vector (n x 1) from `values`.
-  static Matrix ColumnVector(const Vector& values);
-  /// Row vector (1 x n) from `values`.
-  static Matrix RowVector(const Vector& values);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }

@@ -420,6 +420,53 @@ TEST(Covariance, BitIdenticalWithZeroTripleCounts) {
   EXPECT_GT(visits.zero_triple, 0u);
 }
 
+// Nine workers over `num_tasks` tasks; truth t % 2, worker w errs on
+// tasks with t % 11 == w. Worker 0 attempts the tasks `zero_attempts`
+// accepts, every peer w > 0 the tasks with t % 7 != w.
+template <typename Pred>
+data::ResponseMatrix NineWorkerMatrix(size_t num_tasks, Pred zero_attempts) {
+  data::ResponseMatrix matrix(9, num_tasks, 2);
+  for (data::WorkerId w = 0; w < 9; ++w) {
+    for (data::TaskId t = 0; t < num_tasks; ++t) {
+      if (w == 0 ? !zero_attempts(t) : t % 7 == w) continue;
+      const bool wrong = t % 11 == w;
+      matrix.Set(w, t, static_cast<data::Response>((t % 2) ^ wrong))
+          .AbortIfNotOk();
+    }
+  }
+  return matrix;
+}
+
+// The width SharedAttemptRows compacts worker 0's peer rows to. Also
+// checks that worker 0 pairs into the two or more triples a covariance
+// needs, so ExpectCovarianceBitIdentical does not skip it.
+size_t CompactedWidth(const data::ResponseMatrix& matrix) {
+  data::OverlapIndex overlap(matrix);
+  EXPECT_GE(GreedyPairs(overlap, 0).size(), 2u);
+  std::vector<uint64_t> rows;
+  return overlap.SharedAttemptRows(0, {1, 2}, &rows);
+}
+
+TEST(Covariance, BitIdenticalWhenEvaluatedWorkerHasEmptyMaskWords) {
+  // Worker 0 attempts tasks [0, 40) and [200, 260) of 300: its words 1
+  // and 2 (tasks 64-191) are empty and its last word is ragged, so 100
+  // tasks compact from 5 words to 2.
+  auto matrix = NineWorkerMatrix(
+      300, [](data::TaskId t) { return t < 40 || (t >= 200 && t < 260); });
+  ASSERT_EQ(CompactedWidth(matrix), 2u);
+  ExpectCovarianceBitIdentical(matrix, "empty words");
+}
+
+TEST(Covariance, BitIdenticalWhenEvaluatedWorkerFillsWholeWords) {
+  // Worker 0 attempts the 128 tasks below 192 with t % 3 != 0: its
+  // compacted rows are exactly two full words, with no padding.
+  auto matrix = NineWorkerMatrix(
+      200, [](data::TaskId t) { return t < 192 && t % 3 != 0; });
+  ASSERT_EQ(data::OverlapIndex(matrix).CommonCount(0, 0), 128u);
+  ASSERT_EQ(CompactedWidth(matrix), 2u);
+  ExpectCovarianceBitIdentical(matrix, "whole words");
+}
+
 // ---- The clamp counter ------------------------------------------------
 
 TEST(ClampCounter, CountsOncePerTriplePairRead) {

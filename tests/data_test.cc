@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "data/dataset.h"
@@ -241,6 +242,59 @@ TEST(DatasetIo, MalformedInputsRejected) {
   ASSERT_TRUE(WriteStringToFile("worker,task\n0,0\n", path).ok());
   EXPECT_FALSE(LoadDatasetCsv("bad", path).ok());
   std::remove(path.c_str());
+}
+
+// Loads `csv` as a responses file and expects an IoError whose message
+// contains `needle` (the row it names).
+void ExpectLoadIoError(const std::string& csv, const std::string& needle) {
+  std::string path = testing::TempDir() + "/bad_range.csv";
+  ASSERT_TRUE(WriteStringToFile(csv, path).ok());
+  auto loaded = LoadDatasetCsv("bad", path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.status().IsIoError()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find(needle), std::string::npos)
+      << loaded.status();
+}
+
+TEST(DatasetIo, ResponseAboveLargestArityIsAnError) {
+  // 32767 would need arity 32768, past the int16 cells (it aborted).
+  ExpectLoadIoError("worker,task,response\n0,0,1\n1,0,32767\n", "row 2");
+  // The largest response that fits loads.
+  std::string path = testing::TempDir() + "/max_arity.csv";
+  ASSERT_TRUE(
+      WriteStringToFile("worker,task,response\n0,0,32766\n", path).ok());
+  auto loaded = LoadDatasetCsv("max", path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->responses().arity(), 32767);
+}
+
+TEST(DatasetIo, ResponseAboveIntMaxIsAnErrorNotTruncated) {
+  // 4294967297 truncated to int is 1, a valid binary response.
+  ExpectLoadIoError("worker,task,response\n0,0,0\n1,0,4294967297\n",
+                    "row 2");
+}
+
+TEST(DatasetIo, ShapeWhoseCellCountOverflowsIsAnError) {
+  // (2^32 + 1) workers x 2^32 tasks wraps size_t to 2^32 cells.
+  ExpectLoadIoError(
+      "worker,task,response\n0,0,1\n4294967296,0,1\n0,4294967295,0\n",
+      "row 3");
+}
+
+TEST(DatasetIo, GoldLabelOutsideArityIsAnErrorNotTruncated) {
+  std::string responses = testing::TempDir() + "/gold_resp.csv";
+  std::string gold = testing::TempDir() + "/gold_bad.csv";
+  ASSERT_TRUE(
+      WriteStringToFile("worker,task,response\n0,0,1\n", responses).ok());
+  ASSERT_TRUE(
+      WriteStringToFile("task,truth\n0,1\n0,4294967296\n", gold).ok());
+  auto loaded = LoadDatasetCsv("bad", responses, gold);
+  std::remove(responses.c_str());
+  std::remove(gold.c_str());
+  ASSERT_TRUE(loaded.status().IsIoError()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("gold row 2"), std::string::npos)
+      << loaded.status();
 }
 
 TEST(OverlapIndex, PairCounts) {

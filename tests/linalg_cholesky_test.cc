@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
+#include "cholesky_reference.h"
 #include "linalg/cholesky.h"
 #include "linalg/lu.h"
 #include "rng/random.h"
@@ -79,6 +82,53 @@ TEST(CholeskyProperty, AgreesWithLu) {
     EXPECT_NEAR(CholeskyDecomposition::Compute(a)->Determinant(),
                 *Determinant(a),
                 1e-8 * std::fabs(*Determinant(a)) + 1e-12);
+  }
+}
+
+// The four-row blocked factor and forward solve against the one-row
+// loops they replaced (cholesky_reference.h), to the bit, at every size
+// 1..130: every remainder of n mod 4, blocks of rows before and after
+// the pivot column, and the l ~ 98 of perfbench's batch_binary.
+TEST(CholeskyOracle, BlockedFactorAndSolveMatchReferenceBitForBit) {
+  Random rng(2015);
+  for (size_t n = 1; n <= 130; ++n) {
+    const std::string where = "n=" + std::to_string(n);
+    const Matrix a = RandomSpd(n, &rng);
+    auto chol = CholeskyDecomposition::Compute(a);
+    ASSERT_TRUE(chol.ok()) << where << ": " << chol.status();
+    const auto want_l = ReferenceCholeskyFactor(a);
+    ASSERT_TRUE(want_l.has_value()) << where;
+    ASSERT_EQ(std::memcmp(chol->L().data().data(), want_l->data().data(),
+                          n * n * sizeof(double)),
+              0)
+        << where;
+
+    Vector b(n);
+    for (double& v : b) v = rng.Uniform(-2, 2);
+    auto x = chol->Solve(b);
+    ASSERT_TRUE(x.ok()) << where;
+    const Vector want_x = ReferenceCholeskySolve(*want_l, b);
+    ASSERT_EQ(std::memcmp(x->data(), want_x.data(), n * sizeof(double)), 0)
+        << where;
+  }
+}
+
+TEST(CholeskyOracle, FailsAtTheSamePivotAsReference) {
+  // A negative diagonal entry at c makes pivot c the first one that is
+  // not positive: the blocked loops must stop at that column too.
+  Random rng(4);
+  for (size_t n : {5, 8, 13}) {
+    for (size_t c = 0; c < n; ++c) {
+      Matrix a = RandomSpd(n, &rng);
+      a(c, c) = -1.0;
+      EXPECT_FALSE(ReferenceCholeskyFactor(a).has_value());
+      auto chol = CholeskyDecomposition::Compute(a);
+      ASSERT_TRUE(chol.status().IsNumericalError());
+      EXPECT_NE(chol.status().message().find(
+                    "column " + std::to_string(c) + ")"),
+                std::string::npos)
+          << chol.status();
+    }
   }
 }
 

@@ -1,9 +1,11 @@
-// Equivalence tests for the AND-popcount kernels (util/bitops.h): the
-// portable variant, the POPCNT variant and the dispatched entry points
-// must all match a per-bit reference count, for both arities.
+// Equivalence tests for the bitset kernels (util/bitops.h): the
+// portable variants, the POPCNT, AVX-512 and PEXT variants and the
+// dispatched entry points must all match a per-bit reference: the
+// AND-popcounts of both arities, the pair-count table and the gather.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <string>
@@ -95,6 +97,134 @@ TEST(Bitops, PopcntMatchesReference) {
 
 TEST(Bitops, DispatchedMatchesReference) {
   CheckKernels(AndPopcount, AndPopcount);
+}
+
+using PairsKernel = void (*)(const uint64_t*, size_t, size_t, uint32_t*);
+
+// Every pair a < b of up to 20 rows (full and partial blocks of four
+// and of eight), over word counts 0..20, against the two-row
+// AndPopcount; the cells at and below the diagonal must keep the
+// sentinel the table was filled with.
+void CheckPairs(PairsKernel pairs) {
+  constexpr uint32_t kSentinel = 0xDEADBEEF;
+  std::mt19937_64 gen(7);
+  for (size_t words = 0; words <= 20; ++words) {
+    for (size_t num_rows = 0; num_rows <= 20; ++num_rows) {
+      Row rows(num_rows * words);
+      for (size_t r = 0; r < num_rows; ++r) {
+        const Row row = MakeRow(kFills[(r + words) % 5], words, &gen);
+        std::copy(row.begin(), row.end(), rows.begin() + r * words);
+      }
+      std::vector<uint32_t> table(num_rows * num_rows, kSentinel);
+      pairs(rows.data(), num_rows, words, table.data());
+      for (size_t a = 0; a < num_rows; ++a) {
+        for (size_t b = 0; b < num_rows; ++b) {
+          const uint32_t want =
+              a < b ? static_cast<uint32_t>(AndPopcount(
+                          rows.data() + a * words, rows.data() + b * words,
+                          words))
+                    : kSentinel;
+          ASSERT_EQ(table[a * num_rows + b], want)
+              << "words=" << words << " rows=" << num_rows << " (" << a
+              << ", " << b << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(BitopsPairs, PortableMatchesAndPopcount) {
+  CheckPairs(bitops_internal::AndPopcountPairsPortable);
+}
+
+TEST(BitopsPairs, PopcntMatchesAndPopcount) {
+  if (!bitops_internal::HasPopcnt()) {
+    GTEST_SKIP() << "no POPCNT variant on this CPU or architecture";
+  }
+  CheckPairs(bitops_internal::AndPopcountPairsPopcnt);
+}
+
+TEST(BitopsPairs, Avx512MatchesAndPopcount) {
+  if (!bitops_internal::HasAvx512Popcnt()) {
+    GTEST_SKIP() << "no AVX-512 VPOPCNTDQ variant on this CPU or architecture";
+  }
+  CheckPairs(bitops_internal::AndPopcountPairsAvx512);
+}
+
+TEST(BitopsPairs, DispatchedMatchesAndPopcount) {
+  CheckPairs(AndPopcountPairs);
+}
+
+// Bit r of the result is src's bit at mask's r-th set position.
+Row ReferenceGather(const Row& src, const Row& mask) {
+  Row out;
+  size_t r = 0;
+  for (size_t w = 0; w < mask.size(); ++w) {
+    for (int bit = 0; bit < 64; ++bit) {
+      if (!((mask[w] >> bit) & 1)) continue;
+      if (r % 64 == 0) out.push_back(0);
+      out.back() |= ((src[w] >> bit) & uint64_t{1}) << (r % 64);
+      ++r;
+    }
+  }
+  return out;
+}
+
+// A mask whose last word keeps only its low `tail` bits (tail 0 = the
+// whole word), as an attempt row of n % 64 == tail tasks ends.
+Row RaggedMask(Fill fill, size_t words, unsigned tail, std::mt19937_64* gen) {
+  Row mask = MakeRow(fill, words, gen);
+  if (words > 0 && tail != 0) mask.back() &= (uint64_t{1} << tail) - 1;
+  return mask;
+}
+
+using GatherKernel = size_t (*)(const uint64_t*, const uint64_t*, size_t,
+                                uint64_t*);
+
+// Every mask fill (all-zero words, full words, alternating, random, and
+// random masks with zeroed words mixed in) against every source fill,
+// over word counts 0..70 and ragged tails. The output buffer is sized
+// exactly, so a sanitizer build catches a write past the last word.
+void CheckGather(GatherKernel gather) {
+  std::mt19937_64 gen(20150414);
+  for (size_t words = 0; words <= 70; ++words) {
+    for (unsigned tail : {0u, 1u, 17u, 63u}) {
+      for (Fill fm : kFills) {
+        for (Fill fs : kFills) {
+          Row mask = RaggedMask(fm, words, tail, &gen);
+          if (fm == Fill::kRandom) {
+            for (size_t w = 0; w < words; w += 3) mask[w] = 0;
+          }
+          const Row src = MakeRow(fs, words, &gen);
+          const Row want = ReferenceGather(src, mask);
+          Row got(want.size());
+          const std::string where =
+              "words=" + std::to_string(words) + " tail=" +
+              std::to_string(tail) + " fills=" + std::to_string(int(fm)) +
+              "," + std::to_string(int(fs));
+          ASSERT_EQ(gather(src.data(), mask.data(), words, got.data()),
+                    want.size())
+              << where;
+          ASSERT_EQ(got, want) << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(BitopsGather, PortableMatchesReference) {
+  CheckGather(bitops_internal::GatherBitsPortable);
+}
+
+TEST(BitopsGather, PextMatchesReference) {
+  if (!bitops_internal::HasBmi2()) {
+    GTEST_SKIP() << "no PEXT variant on this CPU or architecture";
+  }
+  CheckGather(bitops_internal::GatherBitsPext);
+}
+
+TEST(BitopsGather, DispatchedMatchesReference) {
+  CheckGather(GatherBits);
 }
 
 }  // namespace

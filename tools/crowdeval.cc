@@ -118,13 +118,7 @@ Result<Args> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-Result<data::Dataset> Load(const Args& args) {
-  return data::LoadDatasetCsv("cli", args.responses, args.gold);
-}
-
-int RunEvaluate(const Args& args) {
-  auto dataset = Load(args);
-  dataset.status().AbortIfNotOk();
+int RunEvaluate(const Args& args, const data::Dataset& dataset) {
   core::CrowdEvaluator::Config config;
   config.binary.confidence = args.confidence;
   config.prefilter_spammers = args.prune_spammers;
@@ -137,7 +131,7 @@ int RunEvaluate(const Args& args) {
     config.binary.singularity = core::SingularityPolicy::kClampInflate;
   }
   auto report =
-      core::CrowdEvaluator(config).EvaluateBinary(dataset->responses());
+      core::CrowdEvaluator(config).EvaluateBinary(dataset.responses());
   if (!report.ok()) {
     if (args.format == "json") {
       std::printf("%s\n", server::ErrorJson(report.status()).c_str());
@@ -159,11 +153,11 @@ int RunEvaluate(const Args& args) {
   }
   std::printf("%-8s %-9s %-24s %-8s %s\n", "worker", "estimate",
               "interval", "triples",
-              dataset->GoldCount() > 0 ? "gold-proxy" : "");
+              dataset.GoldCount() > 0 ? "gold-proxy" : "");
   for (const auto& a : report->assessments) {
     std::string proxy_text;
-    if (dataset->GoldCount() > 0) {
-      auto proxy = dataset->ProxyErrorRate(a.worker);
+    if (dataset.GoldCount() > 0) {
+      auto proxy = dataset.ProxyErrorRate(a.worker);
       proxy_text =
           proxy.ok() ? StrFormat("%.3f", *proxy) : std::string("-");
     }
@@ -179,17 +173,15 @@ int RunEvaluate(const Args& args) {
   return 0;
 }
 
-int RunEvaluateKary(const Args& args) {
+int RunEvaluateKary(const Args& args, const data::Dataset& dataset) {
   if (args.workers.size() != 3) {
     std::fprintf(stderr, "evaluate-kary needs --workers=a,b,c\n");
     return 1;
   }
-  auto dataset = Load(args);
-  dataset.status().AbortIfNotOk();
   core::CrowdEvaluator::Config config;
   config.kary.confidence = args.confidence;
   auto result = core::CrowdEvaluator(config).EvaluateKaryTriple(
-      dataset->responses(), args.workers[0], args.workers[1],
+      dataset.responses(), args.workers[0], args.workers[1],
       args.workers[2]);
   if (!result.ok()) {
     if (args.format == "json") {
@@ -205,7 +197,7 @@ int RunEvaluateKary(const Args& args) {
                 server::KaryResultJson(*result, args.workers).c_str());
     return 0;
   }
-  const int k = dataset->responses().arity();
+  const int k = dataset.responses().arity();
   for (int idx = 0; idx < 3; ++idx) {
     std::printf("worker %zu:\n", args.workers[idx]);
     for (int r = 0; r < k; ++r) {
@@ -227,26 +219,22 @@ int RunEvaluateKary(const Args& args) {
   return 0;
 }
 
-int RunSpammers(const Args& args) {
-  auto dataset = Load(args);
-  dataset.status().AbortIfNotOk();
+int RunSpammers(const Args& args, const data::Dataset& dataset) {
   core::SpammerFilterOptions options;
   options.threshold = args.threshold;
-  auto filtered = core::FilterSpammers(dataset->responses(), options);
+  auto filtered = core::FilterSpammers(dataset.responses(), options);
   filtered.status().AbortIfNotOk();
   std::printf("flagged %zu of %zu workers (proxy error > %.2f):\n",
               filtered->removed.size(),
-              dataset->responses().num_workers(), args.threshold);
+              dataset.responses().num_workers(), args.threshold);
   for (auto w : filtered->removed) {
     std::printf("  w%-5zu proxy %.3f\n", w, filtered->proxy_error[w]);
   }
   return 0;
 }
 
-int RunSummary(const Args& args) {
-  auto dataset = Load(args);
-  dataset.status().AbortIfNotOk();
-  std::printf("%s\n", dataset->Summary().c_str());
+int RunSummary(const Args&, const data::Dataset& dataset) {
+  std::printf("%s\n", dataset.Summary().c_str());
   return 0;
 }
 
@@ -258,20 +246,25 @@ int Main(int argc, char** argv) {
                  args.status().ToString().c_str());
     return 2;
   }
-  if (args->metrics) obs::EnableMetrics();
-  int rc = 2;
-  if (args->command == "evaluate") {
-    rc = RunEvaluate(*args);
-  } else if (args->command == "evaluate-kary") {
-    rc = RunEvaluateKary(*args);
-  } else if (args->command == "spammers") {
-    rc = RunSpammers(*args);
-  } else if (args->command == "summary") {
-    rc = RunSummary(*args);
-  } else {
+  int (*run)(const Args&, const data::Dataset&) =
+      args->command == "evaluate"        ? RunEvaluate
+      : args->command == "evaluate-kary" ? RunEvaluateKary
+      : args->command == "spammers"      ? RunSpammers
+      : args->command == "summary"       ? RunSummary
+                                         : nullptr;
+  if (run == nullptr) {
     std::fprintf(stderr, "unknown command: %s\n", args->command.c_str());
     return 2;
   }
+  if (args->metrics) obs::EnableMetrics();
+  // Input files come from the user: a bad one is a message, not a crash.
+  auto dataset = data::LoadDatasetCsv("cli", args->responses, args->gold);
+  if (!dataset.ok()) {
+    std::fprintf(stderr, "cannot load the dataset: %s\n",
+                 dataset.status().ToString().c_str());
+    return 1;
+  }
+  const int rc = run(*args, *dataset);
   if (args->metrics) {
     std::fprintf(stderr, "%s",
                  obs::DefaultRegistry().SummaryTable().c_str());
