@@ -108,7 +108,7 @@ KaryMWorkerResult KaryEvaluateAllWorkers(
   // immutably.
   data::OverlapIndex overlap(responses);
   return EvaluatePool<KaryWorkerAssessment>(
-      responses.num_workers(), options.num_threads, [&](data::WorkerId w) {
+      responses.num_workers(), 1, [&](data::WorkerId w) {
         return KaryEvaluateWorker(responses, overlap, w, options);
       });
 }

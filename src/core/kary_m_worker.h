@@ -37,10 +37,6 @@ struct KaryMWorkerOptions {
   size_t min_pair_overlap = 20;
   /// Cap on the number of triples per worker (0 = no cap).
   size_t max_triples = 0;
-  /// Worker-level parallelism of KaryEvaluateAllWorkers: 1 = serial
-  /// (default), 0 = one thread per hardware core, n = n threads. The
-  /// output is bit-identical for every value.
-  size_t num_threads = 1;
 };
 
 /// \brief Fused k-ary assessment of one worker.

@@ -63,7 +63,7 @@ struct BinaryOptions {
   uint64_t pairing_seed = 1;
   /// Worker-level parallelism of the m-worker loop: 1 = serial
   /// (default), 0 = one thread per hardware core, n = n threads. The
-  /// output is bit-identical for every value (see util/thread_pool.h).
+  /// output is bit-identical for every value (see core/evaluate_pool.h).
   size_t num_threads = 1;
 };
 

@@ -20,7 +20,7 @@
 //
 // Once built, the index is immutable under evaluation: the estimators
 // only call the const accessors, which is what makes the worker-level
-// ParallelFor in the evaluation engines safe. ApplyResponse (the
+// fan-out in core::EvaluatePool safe. ApplyResponse (the
 // incremental mode) is the only mutator and must not run concurrently
 // with evaluation of the same index. A copy reads neither the matrix
 // nor the original, so a caller can evaluate a copy while the

@@ -93,23 +93,6 @@ double ResponseMatrix::Density() const {
           static_cast<double>(num_tasks_));
 }
 
-std::vector<TaskId> ResponseMatrix::TasksOf(WorkerId w) const {
-  std::vector<TaskId> tasks;
-  for (TaskId t = 0; t < num_tasks_; ++t) {
-    if (Has(w, t)) tasks.push_back(t);
-  }
-  return tasks;
-}
-
-std::vector<TaskId> ResponseMatrix::CommonTasks(WorkerId a,
-                                                WorkerId b) const {
-  std::vector<TaskId> tasks;
-  for (TaskId t = 0; t < num_tasks_; ++t) {
-    if (Has(a, t) && Has(b, t)) tasks.push_back(t);
-  }
-  return tasks;
-}
-
 Result<ResponseMatrix> ResponseMatrix::SelectWorkers(
     const std::vector<WorkerId>& workers) const {
   std::vector<int16_t> cells;

@@ -68,12 +68,6 @@ class ResponseMatrix {
   /// TotalResponses / (workers * tasks).
   double Density() const;
 
-  /// Task ids attempted by worker `w`, ascending.
-  std::vector<TaskId> TasksOf(WorkerId w) const;
-
-  /// Task ids attempted by both workers, ascending.
-  std::vector<TaskId> CommonTasks(WorkerId a, WorkerId b) const;
-
   /// The dense storage, in FromCells's layout.
   const std::vector<int16_t>& cells() const { return cells_; }
 

@@ -34,9 +34,9 @@
 // crowdevald Service's STATS counters) construct their own Registry
 // instance and talk to it directly.
 //
-// crowd_obs sits below crowd_util in the library order (crowd_util's
-// ThreadPool is itself instrumented), so this header must not include
-// any crowd_* header.
+// crowd_obs sits at the bottom of the library order (every library
+// above it may record metrics), so this header must not include any
+// crowd_* header.
 
 #ifndef CROWD_OBS_METRICS_H_
 #define CROWD_OBS_METRICS_H_

@@ -12,7 +12,7 @@
 //      cached assessment when fresh, and (when some requested worker
 //      is stale) a private copy of the overlap index;
 //   2. run, without mu_: the stale workers are evaluated against that
-//      copy, fanning out over the configured ThreadPool width, while
+//      copy, on up to `binary.num_threads` threads (EvaluatePool), while
 //      writers keep mutating the live index;
 //   3. commit, under mu_: each result is cached only if no RESP dirtied
 //      its worker since the capture.

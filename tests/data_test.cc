@@ -55,8 +55,6 @@ TEST(ResponseMatrix, CountsAndDensity) {
   EXPECT_EQ(m.TaskResponseCount(1), 2u);
   EXPECT_EQ(m.TaskResponseCount(3), 0u);
   EXPECT_DOUBLE_EQ(m.Density(), 3.0 / 8.0);
-  EXPECT_EQ(m.TasksOf(0), (std::vector<TaskId>{0, 1}));
-  EXPECT_EQ(m.CommonTasks(0, 1), (std::vector<TaskId>{1}));
 }
 
 TEST(ResponseMatrix, FromCellsAcceptsMissingAndEveryValue) {

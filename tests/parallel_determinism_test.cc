@@ -1,12 +1,15 @@
 // The parallel evaluation engine's core guarantee: num_threads changes
-// wall-clock, never results. Every entry point that fans out over the
-// thread pool must produce bit-identical assessments and identically
+// wall-clock, never results. Every entry point that fans out through
+// EvaluatePool must produce bit-identical assessments and identically
 // ordered failures for every thread count. This suite is also the
 // target of the TSan CI job — any data race in the worker fan-out
 // shows up here under -fsanitize=thread.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstring>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -14,10 +17,10 @@
 #include "core/evaluate_pool.h"
 #include "core/evaluator.h"
 #include "core/incremental.h"
-#include "core/kary_m_worker.h"
 #include "core/m_worker.h"
 #include "rng/random.h"
 #include "sim/simulator.h"
+#include "util/string_util.h"
 
 namespace crowd::core {
 namespace {
@@ -110,44 +113,6 @@ TEST(ParallelDeterminism, RandomPairingStaysSeededUnderThreads) {
   ExpectIdentical(*serial, *parallel, "random pairing");
 }
 
-TEST(ParallelDeterminism, KaryAllWorkersMatchesSerial) {
-  Random rng(23);
-  sim::KarySimConfig config;
-  config.arity = 3;
-  config.num_workers = 6;
-  config.num_tasks = 400;
-  auto sim = sim::SimulateKary(config, &rng);
-  ASSERT_TRUE(sim.ok());
-  KaryMWorkerOptions options;
-  options.num_threads = 1;
-  KaryMWorkerResult serial =
-      KaryEvaluateAllWorkers(sim->dataset.responses(), options);
-  ASSERT_FALSE(serial.assessments.empty());
-  options.num_threads = 4;
-  KaryMWorkerResult parallel =
-      KaryEvaluateAllWorkers(sim->dataset.responses(), options);
-  ASSERT_EQ(serial.assessments.size(), parallel.assessments.size());
-  ASSERT_EQ(serial.failures.size(), parallel.failures.size());
-  for (size_t i = 0; i < serial.assessments.size(); ++i) {
-    const KaryWorkerAssessment& x = serial.assessments[i];
-    const KaryWorkerAssessment& y = parallel.assessments[i];
-    EXPECT_EQ(x.worker, y.worker);
-    EXPECT_EQ(x.num_triples, y.num_triples);
-    for (int r = 0; r < config.arity; ++r) {
-      for (int c = 0; c < config.arity; ++c) {
-        EXPECT_EQ(x.p(r, c), y.p(r, c)) << "w" << x.worker;
-        EXPECT_EQ(x.intervals[r][c].lo, y.intervals[r][c].lo);
-        EXPECT_EQ(x.intervals[r][c].hi, y.intervals[r][c].hi);
-      }
-    }
-  }
-  for (size_t i = 0; i < serial.failures.size(); ++i) {
-    EXPECT_EQ(serial.failures[i].first, parallel.failures[i].first);
-    EXPECT_EQ(serial.failures[i].second.code(),
-              parallel.failures[i].second.code());
-  }
-}
-
 TEST(ParallelDeterminism, IncrementalEvaluateAllMatchesSerial) {
   Random rng(29);
   sim::BinarySimConfig config;
@@ -206,6 +171,59 @@ TEST(ParallelDeterminism, ThrowingWorkerBecomesOneInternalFailure) {
   MWorkerResult parallel = EvaluatePool<WorkerAssessment>(
       responses.num_workers(), 4, evaluate);
   ExpectIdentical(serial, parallel, "throwing body");
+}
+
+TEST(ParallelDeterminism, EvaluatePoolRunsEachWorkerOnceInIdOrder) {
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{0}}) {
+    for (size_t workers : {size_t{0}, size_t{1}, size_t{2}, size_t{7},
+                           size_t{64}}) {
+      SCOPED_TRACE(testing::Message()
+                   << "threads " << threads << ", workers " << workers);
+      std::vector<std::atomic<int>> calls(workers);
+      // Odd workers fail, so both output vectors are checked.
+      auto result = EvaluatePool<data::WorkerId>(
+          workers, threads, [&](data::WorkerId w) -> Result<data::WorkerId> {
+            calls[w].fetch_add(1);
+            if (w % 2 == 1) return Status::Invalid(StrFormat("odd %zu", w));
+            return w;
+          });
+      for (size_t w = 0; w < workers; ++w) {
+        EXPECT_EQ(calls[w].load(), 1) << "worker " << w;
+      }
+      ASSERT_EQ(result.assessments.size(), (workers + 1) / 2);
+      ASSERT_EQ(result.failures.size(), workers / 2);
+      for (size_t i = 0; i < result.assessments.size(); ++i) {
+        EXPECT_EQ(result.assessments[i], 2 * i);
+      }
+      for (size_t i = 0; i < result.failures.size(); ++i) {
+        EXPECT_EQ(result.failures[i].first, 2 * i + 1);
+        EXPECT_EQ(result.failures[i].second.message(),
+                  StrFormat("odd %zu", 2 * i + 1));
+      }
+    }
+  }
+}
+
+// This process's thread count, from the kernel's view of it.
+size_t LiveThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) {
+      return std::stoul(line.substr(std::strlen("Threads:")));
+    }
+  }
+  return 0;
+}
+
+TEST(ParallelDeterminism, EvaluatePoolStartsNoMoreHelpersThanWorkers) {
+  const size_t before = LiveThreads();
+  ASSERT_GT(before, 0u) << "no Threads: line in /proc/self/status";
+  // Each worker's "assessment" is the thread count its body saw.
+  auto result = EvaluatePool<size_t>(
+      2, 16, [](data::WorkerId) -> Result<size_t> { return LiveThreads(); });
+  ASSERT_EQ(result.assessments.size(), 2u);
+  for (size_t seen : result.assessments) EXPECT_LE(seen, before + 1);
 }
 
 // An incremental evaluator whose evaluation of one worker throws.

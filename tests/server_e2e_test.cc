@@ -450,8 +450,8 @@ TEST(CrowdevaldE2eTest, MetricsExpositionAndChromeTrace) {
   constexpr size_t kWorkers = 10;
   constexpr size_t kTasks = 60;
 
-  // --threads=2: the evaluator only routes through the (instrumented)
-  // ThreadPool when parallel, and the util series must show up below.
+  // --threads=2: EVAL_ALL evaluates on two threads (the caller and one
+  // helper), so the daemon's parallel fan-out runs end to end here.
   pid_t pid = SpawnDaemon(
       {"--workers=" + std::to_string(kWorkers),
        "--tasks=" + std::to_string(kTasks), "--data-dir=" + state_dir,
@@ -506,7 +506,7 @@ TEST(CrowdevaldE2eTest, MetricsExpositionAndChromeTrace) {
     }
     EXPECT_TRUE(saw_eof);
 
-    // Spans core + server + util + journal, >= 12 distinct families.
+    // Spans core + server + journal, >= 12 distinct families.
     EXPECT_GE(families.size(), 12u) << text;
     auto has_prefix = [&](const std::string& prefix) {
       for (const std::string& f : families) {
@@ -516,7 +516,6 @@ TEST(CrowdevaldE2eTest, MetricsExpositionAndChromeTrace) {
     };
     EXPECT_TRUE(has_prefix("crowdeval_core_")) << text;
     EXPECT_TRUE(has_prefix("crowdeval_server_")) << text;
-    EXPECT_TRUE(has_prefix("crowdeval_util_")) << text;
     EXPECT_TRUE(has_prefix("crowdeval_journal_")) << text;
 
     // Counters advance between scrapes.

@@ -7,7 +7,7 @@
 // With -DCROWD_NEGATIVE_COMPILE it contains exactly the bug class the
 // analysis exists for — reading a CROWD_GUARDED_BY field without the
 // lock, the same mistake as deleting an annotation or a MutexLock in
-// Service/ThreadPool — and compilation MUST fail. The harness asserts
+// Service/SocketServer — and compilation MUST fail. The harness asserts
 // both directions, proving the annotations are load-bearing rather
 // than decorative.
 
@@ -41,7 +41,7 @@ class Account {
   void Transfer(int amount) {
 #if defined(CROWD_NEGATIVE_COMPILE_REQUIRES)
     // Calling a CROWD_REQUIRES function without the capability —
-    // the ThreadPool/Service *_Locked discipline — must also fail.
+    // the Service *_Locked discipline — must also fail.
     TransferLocked(amount);
 #else
     crowd::util::MutexLock lock(mu_);

@@ -1,11 +1,9 @@
 // Unit tests for the util module: Status/Result, string helpers, CSV,
-// the thread pool, and log-line formatting (text + JSON modes).
+// and log-line formatting (text + JSON modes).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -14,7 +12,6 @@
 #include "util/result.h"
 #include "util/status.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
 
 namespace crowd {
 namespace {
@@ -171,79 +168,6 @@ TEST(Csv, FileRoundTrip) {
 
 TEST(Csv, MissingFileIsIoError) {
   EXPECT_TRUE(ReadCsvFile("/nonexistent/path.csv").status().IsIoError());
-}
-
-TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(100);
-    for (auto& h : hits) h.store(0);
-    Status st = pool.ParallelFor(0, hits.size(), [&](size_t i) {
-      hits[i].fetch_add(1);
-      return Status::OK();
-    });
-    EXPECT_TRUE(st.ok()) << st;
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " with "
-                                   << threads << " threads";
-    }
-  }
-}
-
-TEST(ThreadPool, EmptyAndSingletonRanges) {
-  ThreadPool pool(4);
-  EXPECT_TRUE(pool.ParallelFor(5, 5, [](size_t) {
-                    return Status::Internal("never called");
-                  }).ok());
-  int calls = 0;
-  EXPECT_TRUE(pool.ParallelFor(7, 8, [&](size_t i) {
-                    EXPECT_EQ(i, 7u);
-                    ++calls;
-                    return Status::OK();
-                  }).ok());
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(ThreadPool, LowestFailingIndexWinsRegardlessOfSchedule) {
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    ThreadPool pool(threads);
-    Status st = pool.ParallelFor(0, 64, [](size_t i) {
-      if (i >= 5) return Status::Invalid(StrFormat("index %zu", i));
-      return Status::OK();
-    });
-    EXPECT_TRUE(st.IsInvalid());
-    EXPECT_EQ(st.message(), "index 5");
-  }
-}
-
-TEST(ThreadPool, ExceptionsBecomeInternalStatus) {
-  ThreadPool pool(2);
-  Status st = pool.ParallelFor(0, 8, [](size_t i) -> Status {
-    if (i == 3) throw std::runtime_error("boom");
-    return Status::OK();
-  });
-  EXPECT_TRUE(st.IsInternal());
-  EXPECT_NE(st.message().find("boom"), std::string::npos);
-}
-
-TEST(ThreadPool, ReusableAcrossJobs) {
-  ThreadPool pool(3);
-  for (int round = 0; round < 10; ++round) {
-    std::atomic<size_t> sum{0};
-    Status st = pool.ParallelFor(0, 50, [&](size_t i) {
-      sum.fetch_add(i);
-      return Status::OK();
-    });
-    ASSERT_TRUE(st.ok());
-    EXPECT_EQ(sum.load(), 49u * 50u / 2u);
-  }
-}
-
-TEST(ThreadPool, ResolveThreadCount) {
-  EXPECT_EQ(ThreadPool::ResolveThreadCount(3), 3u);
-  EXPECT_GE(ThreadPool::ResolveThreadCount(0), 1u);
-  EXPECT_EQ(ThreadPool(1).num_threads(), 1u);
-  EXPECT_EQ(ThreadPool(5).num_threads(), 5u);
 }
 
 TEST(Logging, TextFormatLine) {
