@@ -37,44 +37,76 @@ Result<CountsTensor> CountsTensor::FromResponses(
   return tensor;
 }
 
-double CountsTensor::PatternTotal(int pattern) const {
-  double total = 0.0;
+std::array<double, 8> CountsTensor::PatternTotals() const {
+  std::array<double, 8> totals{};
   const int s = side();
+  const double* cell = cells_.data();
   for (int a = 0; a < s; ++a) {
     for (int b = 0; b < s; ++b) {
       for (int c = 0; c < s; ++c) {
-        CountsCell cell{a, b, c};
-        if (cell.Pattern() == pattern) total += at(cell);
+        totals[static_cast<size_t>(CountsCell{a, b, c}.Pattern())] += *cell++;
       }
     }
   }
-  return total;
+  return totals;
+}
+
+double CountsTensor::PatternTotal(int pattern) const {
+  CROWD_CHECK(pattern >= 0 && pattern < 8);
+  return PatternTotals()[static_cast<size_t>(pattern)];
 }
 
 double CountsTensor::PairAttemptTotal(int wa, int wb) const {
   CROWD_CHECK(wa >= 1 && wa <= 3 && wb >= 1 && wb <= 3 && wa != wb);
   int pair_mask = (1 << (wa - 1)) | (1 << (wb - 1));
+  const std::array<double, 8> totals = PatternTotals();
   double total = 0.0;
   for (int pattern = 0; pattern < 8; ++pattern) {
-    if ((pattern & pair_mask) == pair_mask) total += PatternTotal(pattern);
+    if ((pattern & pair_mask) == pair_mask) {
+      total += totals[static_cast<size_t>(pattern)];
+    }
   }
   return total;
 }
+
+namespace {
+
+// Lemma 9 for two cells of one attempt pattern with group size n.
+double PatternCovariance(double cx, double cy, bool same_cell, double n) {
+  if (n <= 0.0) return 0.0;
+  if (same_cell) {
+    // Case 2: multinomial variance, Count (n - Count) / n.
+    return cx * (n - cx) / n;
+  }
+  // Case 3: multinomial cross term, -Count_x Count_y / n.
+  return -cx * cy / n;
+}
+
+}  // namespace
 
 double CountsTensor::Covariance(const CountsCell& x,
                                 const CountsCell& y) const {
   // Case 1 of Lemma 9: different attempt patterns are counted over
   // disjoint task groups, hence independent.
   if (x.Pattern() != y.Pattern()) return 0.0;
-  double n = PatternTotal(x.Pattern());
-  if (n <= 0.0) return 0.0;
-  double cx = at(x);
-  if (x == y) {
-    // Case 2: multinomial variance, Count (n - Count) / n.
-    return cx * (n - cx) / n;
+  return PatternCovariance(at(x), at(y), x == y, PatternTotal(x.Pattern()));
+}
+
+linalg::Matrix CountsTensor::CovarianceMatrix(
+    const std::vector<CountsCell>& cells) const {
+  const std::array<double, 8> totals = PatternTotals();
+  const size_t num_cells = cells.size();
+  linalg::Matrix cov(num_cells, num_cells);
+  for (size_t x = 0; x < num_cells; ++x) {
+    const int pattern = cells[x].Pattern();
+    for (size_t y = x; y < num_cells; ++y) {
+      if (cells[y].Pattern() != pattern) continue;  // Case 1: zero.
+      cov(x, y) = cov(y, x) = PatternCovariance(
+          at(cells[x]), at(cells[y]), cells[x] == cells[y],
+          totals[static_cast<size_t>(pattern)]);
+    }
   }
-  // Case 3: multinomial cross term, -Count_x Count_y / n.
-  return -cx * at(y) / n;
+  return cov;
 }
 
 std::vector<CountsCell> CountsTensor::CellsWithMinWorkers(

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "data/response_matrix.h"
+#include "linalg/matrix.h"
 #include "util/logging.h"
 #include "util/result.h"
 
@@ -53,9 +54,13 @@ class CountsTensor {
   double at(int a, int b, int c) const { return at(CountsCell{a, b, c}); }
   double& at(int a, int b, int c) { return at(CountsCell{a, b, c}); }
 
-  /// Total count over all cells with the given attempt pattern — the
-  /// number of tasks attempted by exactly that worker set (Lemma 9's
-  /// group size n).
+  /// Total count over all cells with each attempt pattern — the number
+  /// of tasks attempted by exactly that worker set (Lemma 9's group
+  /// size n) — from one pass over the cells. Each total adds its cells
+  /// in (a, b, c) order.
+  std::array<double, 8> PatternTotals() const;
+
+  /// PatternTotals()[pattern].
   double PatternTotal(int pattern) const;
 
   /// Number of tasks attempted by all three workers (pattern 0b111).
@@ -68,6 +73,11 @@ class CountsTensor {
   /// Lemma 9: covariance of two tensor entries. Zero across different
   /// attempt patterns; multinomial within a pattern.
   double Covariance(const CountsCell& x, const CountsCell& y) const;
+
+  /// The Lemma 9 covariance matrix of `cells`: entry (x, y) is
+  /// Covariance(cells[x], cells[y]), with the pattern totals computed
+  /// once rather than per entry.
+  linalg::Matrix CovarianceMatrix(const std::vector<CountsCell>& cells) const;
 
   /// All cells whose pattern has at least `min_workers` responding
   /// workers, in deterministic order. These are the cells that feed

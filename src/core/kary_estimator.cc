@@ -88,13 +88,7 @@ Result<KaryResult> KaryEvaluateCounts(const CountsTensor& counts,
   // Covariance matrix over the perturbable cells (Lemma 9). Dense is
   // fine: (k+1)^3 <= 343 cells for the arities in scope.
   const size_t num_cells = jac.cells.size();
-  linalg::Matrix cell_cov(num_cells, num_cells);
-  for (size_t x = 0; x < num_cells; ++x) {
-    for (size_t y = x; y < num_cells; ++y) {
-      double cov = counts.Covariance(jac.cells[x], jac.cells[y]);
-      cell_cov(x, y) = cell_cov(y, x) = cov;
-    }
-  }
+  const linalg::Matrix cell_cov = counts.CovarianceMatrix(jac.cells);
 
   CROWD_ASSIGN_OR_RETURN(double z, stats::TwoSidedZ(options.confidence));
 

@@ -176,6 +176,7 @@ Result<ProbEstimateResult> ProbEstimate(const CountsTensor& counts,
 
   // The per-j3 conditional response-frequency matrices.
   std::vector<linalg::Matrix> conditionals;
+  conditionals.reserve(static_cast<size_t>(k));
   for (int j3 = 1; j3 <= k; ++j3) {
     double n_j3 = 0.0;
     for (int a = 1; a <= k; ++a) {

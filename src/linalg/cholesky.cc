@@ -23,7 +23,7 @@ Result<CholeskyDecomposition> CholeskyDecomposition::Compute(
   // accumulator each: four independent chains, each in the one-row
   // order, so the factor is the same to the bit.
   Matrix l(n, n);
-  const double* rows = l.data().data();
+  const double* rows = l.data();
   for (size_t j = 0; j < n; ++j) {
     const double* lj = rows + j * n;
     double diag = a(j, j);
@@ -70,7 +70,7 @@ Result<Vector> CholeskyDecomposition::Solve(const Vector& b) const {
   if (b.size() != n) {
     return Status::Invalid("Cholesky solve: dimension mismatch");
   }
-  const double* rows = l_.data().data();
+  const double* rows = l_.data();
   // Forward: L y = b. y[i] is b[i] minus l(i, k) y[k] for k = 0, ...,
   // i-1 in order. Rows i..i+3 share the prefix k < i, so they run it
   // with four accumulators, then finish their own columns in the same

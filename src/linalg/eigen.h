@@ -20,8 +20,6 @@ namespace crowd::linalg {
 struct EigenDecomposition {
   Vector values;
   Matrix vectors;
-  /// max_i ||A v_i - lambda_i v_i||, a quality indicator.
-  double max_residual = 0.0;
 };
 
 /// Options for EigenGeneralReal.

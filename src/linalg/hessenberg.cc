@@ -13,6 +13,7 @@ Result<HessenbergForm> ReduceToHessenberg(const Matrix& a) {
   if (n < 3) return out;
   Matrix& h = out.h;
   Matrix& q = out.q;
+  SmallBuffer<double> v(n);
 
   for (size_t k = 0; k + 2 < n; ++k) {
     // Householder vector annihilating h(k+2..n-1, k).
@@ -22,7 +23,7 @@ Result<HessenbergForm> ReduceToHessenberg(const Matrix& a) {
     if (norm_x < 1e-300) continue;
 
     double alpha = h(k + 1, k) >= 0.0 ? -norm_x : norm_x;
-    Vector v(n, 0.0);
+    // Entries k+1.. of the Householder vector; nothing reads the others.
     v[k + 1] = h(k + 1, k) - alpha;
     for (size_t i = k + 2; i < n; ++i) v[i] = h(i, k);
     double v_norm_sq = 0.0;

@@ -1,5 +1,6 @@
 #include "linalg/lu.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/string_util.h"
@@ -15,18 +16,20 @@ Result<LuDecomposition> LuDecomposition::Compute(const Matrix& a,
   if (n == 0) return Status::Invalid("LU of an empty matrix");
 
   Matrix lu = a;
-  std::vector<size_t> perm(n);
+  double* m = &lu(0, 0);  // Row-major, n x n.
+  SmallBuffer<size_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = i;
   int sign = 1;
 
   // Scale factors for scaled partial pivoting; improves pivot choice on
   // badly row-scaled matrices (covariance matrices here can have rows
   // spanning several orders of magnitude).
-  std::vector<double> scale(n, 0.0);
+  SmallBuffer<double> scale(n);
   for (size_t i = 0; i < n; ++i) {
+    const double* row = m + i * n;
     double row_max = 0.0;
     for (size_t j = 0; j < n; ++j) {
-      row_max = std::max(row_max, std::fabs(lu(i, j)));
+      row_max = std::max(row_max, std::fabs(row[j]));
     }
     if (row_max == 0.0) {
       return Status::NumericalError(
@@ -40,19 +43,20 @@ Result<LuDecomposition> LuDecomposition::Compute(const Matrix& a,
     size_t pivot_row = col;
     double best = -1.0;
     for (size_t i = col; i < n; ++i) {
-      double candidate = scale[i] * std::fabs(lu(i, col));
+      double candidate = scale[i] * std::fabs(m[i * n + col]);
       if (candidate > best) {
         best = candidate;
         pivot_row = i;
       }
     }
+    double* pivot_entries = m + col * n;
     if (pivot_row != col) {
-      lu.SwapRows(pivot_row, col);
+      std::swap_ranges(pivot_entries, pivot_entries + n, m + pivot_row * n);
       std::swap(perm[pivot_row], perm[col]);
       std::swap(scale[pivot_row], scale[col]);
       sign = -sign;
     }
-    double pivot = lu(col, col);
+    double pivot = pivot_entries[col];
     if (std::fabs(pivot) < pivot_tol) {
       return Status::NumericalError(StrFormat(
           "LU: matrix is singular to working precision (pivot %.3e at "
@@ -60,36 +64,45 @@ Result<LuDecomposition> LuDecomposition::Compute(const Matrix& a,
           pivot, col));
     }
     for (size_t i = col + 1; i < n; ++i) {
-      double factor = lu(i, col) / pivot;
-      lu(i, col) = factor;
+      double* row = m + i * n;
+      double factor = row[col] / pivot;
+      row[col] = factor;
       if (factor == 0.0) continue;
       for (size_t j = col + 1; j < n; ++j) {
-        lu(i, j) -= factor * lu(col, j);
+        row[j] -= factor * pivot_entries[j];
       }
     }
   }
   return LuDecomposition(std::move(lu), std::move(perm), sign);
 }
 
-Result<Vector> LuDecomposition::Solve(const Vector& b) const {
+void LuDecomposition::Substitute(const double* b, size_t b_stride,
+                                 double* x, size_t x_stride) const {
   const size_t n = size();
-  if (b.size() != n) {
-    return Status::Invalid("LU solve: dimension mismatch");
-  }
-  Vector x(n);
+  const double* lu = lu_.data();
   // Forward substitution on L (unit diagonal), applying P to b.
   for (size_t i = 0; i < n; ++i) {
-    double sum = b[perm_[i]];
-    for (size_t j = 0; j < i; ++j) sum -= lu_(i, j) * x[j];
-    x[i] = sum;
+    const double* row = lu + i * n;
+    double sum = b[perm_[i] * b_stride];
+    for (size_t j = 0; j < i; ++j) sum -= row[j] * x[j * x_stride];
+    x[i * x_stride] = sum;
   }
   // Back substitution on U.
   for (size_t ii = n; ii > 0; --ii) {
-    size_t i = ii - 1;
-    double sum = x[i];
-    for (size_t j = i + 1; j < n; ++j) sum -= lu_(i, j) * x[j];
-    x[i] = sum / lu_(i, i);
+    const size_t i = ii - 1;
+    const double* row = lu + i * n;
+    double sum = x[i * x_stride];
+    for (size_t j = i + 1; j < n; ++j) sum -= row[j] * x[j * x_stride];
+    x[i * x_stride] = sum / row[i];
   }
+}
+
+Result<Vector> LuDecomposition::Solve(const Vector& b) const {
+  if (b.size() != size()) {
+    return Status::Invalid("LU solve: dimension mismatch");
+  }
+  Vector x(b.size());
+  Substitute(b.data(), 1, x.data(), 1);
   return x;
 }
 
@@ -98,9 +111,10 @@ Result<Matrix> LuDecomposition::Solve(const Matrix& b) const {
     return Status::Invalid("LU solve: dimension mismatch");
   }
   Matrix x(b.rows(), b.cols());
+  if (x.empty()) return x;
+  double* out = &x(0, 0);
   for (size_t j = 0; j < b.cols(); ++j) {
-    CROWD_ASSIGN_OR_RETURN(Vector col, Solve(b.Column(j)));
-    for (size_t i = 0; i < b.rows(); ++i) x(i, j) = col[i];
+    Substitute(b.data() + j, b.cols(), out + j, x.cols());
   }
   return x;
 }

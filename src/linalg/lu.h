@@ -6,8 +6,6 @@
 #ifndef CROWD_LINALG_LU_H_
 #define CROWD_LINALG_LU_H_
 
-#include <vector>
-
 #include "linalg/matrix.h"
 #include "util/result.h"
 
@@ -31,17 +29,23 @@ class LuDecomposition {
   /// A^{-1}, by solving against the identity.
   Result<Matrix> Inverse() const;
 
+  /// The forward and back substitution every solve above runs: writes
+  /// x with A x = b, where entry i of b is at b[i * b_stride] and entry
+  /// i of x goes to x[i * x_stride]. b and x must not overlap.
+  void Substitute(const double* b, size_t b_stride, double* x,
+                  size_t x_stride) const;
+
   /// det(A), including the permutation sign.
   double Determinant() const;
 
   size_t size() const { return lu_.rows(); }
 
  private:
-  LuDecomposition(Matrix lu, std::vector<size_t> perm, int perm_sign)
+  LuDecomposition(Matrix lu, SmallBuffer<size_t> perm, int perm_sign)
       : lu_(std::move(lu)), perm_(std::move(perm)), perm_sign_(perm_sign) {}
 
-  Matrix lu_;                 // L below diagonal (unit), U on/above.
-  std::vector<size_t> perm_;  // Row permutation: row i of PA is row perm_[i] of A.
+  Matrix lu_;                  // L below diagonal (unit), U on/above.
+  SmallBuffer<size_t> perm_;   // Row permutation: row i of PA is row perm_[i] of A.
   int perm_sign_ = 1;
 };
 

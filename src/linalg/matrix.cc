@@ -9,15 +9,18 @@
 namespace crowd::linalg {
 
 Matrix::Matrix(size_t rows, size_t cols, double fill)
-    : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+    : rows_(rows), cols_(cols), data_(rows * cols) {
+  std::fill(data_.begin(), data_.end(), fill);
+}
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> rows) {
   rows_ = rows.size();
   cols_ = rows_ == 0 ? 0 : rows.begin()->size();
-  data_.reserve(rows_ * cols_);
+  data_.Reset(rows_ * cols_);
+  double* out = data_.data();
   for (const auto& row : rows) {
     CROWD_CHECK_EQ(row.size(), cols_);
-    data_.insert(data_.end(), row.begin(), row.end());
+    out = std::copy(row.begin(), row.end(), out);
   }
 }
 
@@ -43,8 +46,7 @@ Matrix Matrix::Transposed() const {
 
 Vector Matrix::Row(size_t i) const {
   CROWD_CHECK_LT(i, rows_);
-  return Vector(data_.begin() + static_cast<long>(i * cols_),
-                data_.begin() + static_cast<long>((i + 1) * cols_));
+  return Vector(data_.begin() + i * cols_, data_.begin() + (i + 1) * cols_);
 }
 
 Vector Matrix::Column(size_t j) const {
@@ -212,9 +214,15 @@ double L1Norm(const Vector& a) {
 
 bool Normalize(Vector* v) {
   CROWD_CHECK(v != nullptr);
-  double n = Norm(*v);
-  if (n < 1e-300) return false;
-  for (double& x : *v) x /= n;
+  return Normalize(v->data(), v->size());
+}
+
+bool Normalize(double* v, size_t n) {
+  double sum = 0.0;
+  for (size_t i = 0; i < n; ++i) sum += v[i] * v[i];
+  const double norm = std::sqrt(sum);
+  if (norm < 1e-300) return false;
+  for (size_t i = 0; i < n; ++i) v[i] /= norm;
   return true;
 }
 

@@ -4,13 +4,25 @@
 // matrices with k <= ~10, or l x l triple-covariance matrices with
 // l <= ~m/2), so this is a straightforward dense implementation with
 // bounds checking in debug builds and no expression templates.
+//
+// Storage: a Matrix of up to kInlineEntries (16) entries — every k x k
+// matrix of Algorithm A3 for k <= 4 — keeps them inline and never
+// touches the heap; a larger one allocates, as a std::vector would.
+// The spectral estimate builds and discards thousands of 3 x 3
+// matrices per triple, so this is what keeps it off the allocator.
+// SmallBuffer applies the same rule to the kernels' scratch vectors.
+// data() exposes the row-major entries read-only; write entries with
+// operator().
 
 #ifndef CROWD_LINALG_MATRIX_H_
 #define CROWD_LINALG_MATRIX_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <initializer_list>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/logging.h"
@@ -20,11 +32,98 @@ namespace crowd::linalg {
 
 using Vector = std::vector<double>;
 
+/// Entries that a Matrix or SmallBuffer holds without a heap allocation.
+inline constexpr size_t kInlineEntries = 16;
+
+/// \brief A fixed-length array of a trivially copyable T: inline up to
+/// kInlineEntries entries, on the heap above that. Entries are
+/// uninitialized until written. A moved-from buffer is empty.
+template <typename T>
+class SmallBuffer {
+ public:
+  SmallBuffer() = default;
+  explicit SmallBuffer(size_t size) { Reset(size); }
+  SmallBuffer(const SmallBuffer& other) { CopyFrom(other); }
+  SmallBuffer(SmallBuffer&& other) noexcept { MoveFrom(&other); }
+  SmallBuffer& operator=(const SmallBuffer& other) {
+    if (this != &other) CopyFrom(other);
+    return *this;
+  }
+  SmallBuffer& operator=(SmallBuffer&& other) noexcept {
+    if (this != &other) MoveFrom(&other);
+    return *this;
+  }
+
+  /// Changes the length to `size`; the entries become uninitialized.
+  void Reset(size_t size) {
+    if (size <= kInlineEntries) {
+      heap_.reset();
+      data_ = inline_;
+    } else if (heap_ == nullptr || size != size_) {
+      heap_ = std::make_unique_for_overwrite<T[]>(size);
+      data_ = heap_.get();
+    }
+    size_ = size;
+  }
+
+  size_t size() const { return size_; }
+  T* data() { return data_; }
+  const T* data() const { return data_; }
+  T* begin() { return data_; }
+  T* end() { return data_ + size_; }
+  const T* begin() const { return data_; }
+  const T* end() const { return data_ + size_; }
+  T& operator[](size_t i) {
+    CROWD_DCHECK(i < size_);
+    return data_[i];
+  }
+  const T& operator[](size_t i) const {
+    CROWD_DCHECK(i < size_);
+    return data_[i];
+  }
+
+ private:
+  void CopyFrom(const SmallBuffer& other) {
+    Reset(other.size_);
+    std::copy_n(other.data_, other.size_, data_);
+  }
+  void MoveFrom(SmallBuffer* other) {
+    if (other->heap_ != nullptr) {
+      heap_ = std::move(other->heap_);
+      data_ = heap_.get();
+      size_ = other->size_;
+    } else {
+      CopyFrom(*other);
+    }
+    other->Reset(0);
+  }
+
+  size_t size_ = 0;
+  T* data_ = inline_;  // inline_ or heap_.get().
+  T inline_[kInlineEntries];
+  std::unique_ptr<T[]> heap_;
+};
+
 /// \brief Dense row-major matrix of doubles.
 class Matrix {
  public:
   /// An empty 0x0 matrix.
   Matrix() = default;
+  Matrix(const Matrix&) = default;
+  Matrix& operator=(const Matrix&) = default;
+  /// A moved-from matrix is 0x0.
+  Matrix(Matrix&& other) noexcept
+      : rows_(std::exchange(other.rows_, 0)),
+        cols_(std::exchange(other.cols_, 0)),
+        data_(std::move(other.data_)) {}
+  Matrix& operator=(Matrix&& other) noexcept {
+    if (this != &other) {
+      rows_ = std::exchange(other.rows_, 0);
+      cols_ = std::exchange(other.cols_, 0);
+      data_ = std::move(other.data_);
+    }
+    return *this;
+  }
 
   /// A rows x cols matrix filled with `fill`.
   Matrix(size_t rows, size_t cols, double fill = 0.0);
@@ -50,8 +149,8 @@ class Matrix {
     return data_[i * cols_ + j];
   }
 
-  /// Raw storage (row-major), e.g. for tests.
-  const std::vector<double>& data() const { return data_; }
+  /// The rows() * cols() entries, row-major.
+  const double* data() const { return data_.data(); }
 
   Matrix Transposed() const;
 
@@ -90,7 +189,7 @@ class Matrix {
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
-  std::vector<double> data_;
+  SmallBuffer<double> data_;
 };
 
 Matrix operator+(Matrix a, const Matrix& b);
@@ -110,6 +209,8 @@ double Norm(const Vector& a);
 double L1Norm(const Vector& a);
 /// Scales `v` so that Norm(v) == 1; returns false if v is ~zero.
 bool Normalize(Vector* v);
+/// The same on the `n` entries at `v`.
+bool Normalize(double* v, size_t n);
 
 }  // namespace crowd::linalg
 

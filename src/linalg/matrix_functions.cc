@@ -39,12 +39,9 @@ Status ClampSpectrum(Vector* values, const SqrtOptions& options) {
 Result<Matrix> PrincipalSqrt(const Matrix& a, const SqrtOptions& options) {
   CROWD_ASSIGN_OR_RETURN(auto eig, EigenGeneralReal(a));
   CROWD_RETURN_NOT_OK(ClampSpectrum(&eig.values, options));
-  Vector sqrt_values(eig.values.size());
-  for (size_t i = 0; i < eig.values.size(); ++i) {
-    sqrt_values[i] = std::sqrt(eig.values[i]);
-  }
+  for (double& v : eig.values) v = std::sqrt(v);
   CROWD_ASSIGN_OR_RETURN(Matrix e_inv, Inverse(eig.vectors));
-  return eig.vectors * Matrix::Diagonal(sqrt_values) * e_inv;
+  return eig.vectors * Matrix::Diagonal(eig.values) * e_inv;
 }
 
 Result<Matrix> SymmetricSqrt(const Matrix& a, const SqrtOptions& options) {

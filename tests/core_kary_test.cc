@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/counts_tensor.h"
 #include "core/kary_estimator.h"
@@ -70,6 +71,51 @@ TEST(CountsTensor, LemmaNineStructure) {
                    -30.0 * 10.0 / 40.0);
   EXPECT_DOUBLE_EQ(tensor.Covariance({2, 2, 0}, {1, 2, 0}),
                    -5.0 * 15.0 / 20.0);
+}
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// The one-pass pattern totals and the bulk covariance matrix against
+// per-pattern scans in (a, b, c) order, bit for bit, on non-integer
+// counts where the summation order shows in the last bits.
+TEST(CountsTensor, OnePassTotalsMatchPerPatternScans) {
+  Random rng(53);
+  CountsTensor tensor(3);
+  const int s = tensor.side();
+  for (int a = 0; a < s; ++a) {
+    for (int b = 0; b < s; ++b) {
+      for (int c = 0; c < s; ++c) tensor.at(a, b, c) = rng.Uniform(0, 50);
+    }
+  }
+  const std::array<double, 8> totals = tensor.PatternTotals();
+  for (int pattern = 0; pattern < 8; ++pattern) {
+    double scan = 0.0;
+    for (int a = 0; a < s; ++a) {
+      for (int b = 0; b < s; ++b) {
+        for (int c = 0; c < s; ++c) {
+          const CountsCell cell{a, b, c};
+          if (cell.Pattern() == pattern) scan += tensor.at(cell);
+        }
+      }
+    }
+    EXPECT_TRUE(BitEqual(totals[static_cast<size_t>(pattern)], scan));
+    EXPECT_TRUE(BitEqual(tensor.PatternTotal(pattern), scan));
+  }
+  // Workers 1 and 3 both responded in patterns 0b101 and 0b111.
+  EXPECT_TRUE(
+      BitEqual(tensor.PairAttemptTotal(1, 3), 0.0 + totals[5] + totals[7]));
+
+  const std::vector<CountsCell> cells = tensor.CellsWithMinWorkers(2);
+  const linalg::Matrix cov = tensor.CovarianceMatrix(cells);
+  ASSERT_EQ(cov.rows(), cells.size());
+  for (size_t x = 0; x < cells.size(); ++x) {
+    for (size_t y = 0; y < cells.size(); ++y) {
+      EXPECT_TRUE(BitEqual(cov(x, y), tensor.Covariance(cells[x], cells[y])))
+          << x << "," << y;
+    }
+  }
 }
 
 // Lemma 9 against brute-force: empirical covariances of tensor cells

@@ -98,7 +98,7 @@ TEST(CholeskyOracle, BlockedFactorAndSolveMatchReferenceBitForBit) {
     ASSERT_TRUE(chol.ok()) << where << ": " << chol.status();
     const auto want_l = ReferenceCholeskyFactor(a);
     ASSERT_TRUE(want_l.has_value()) << where;
-    ASSERT_EQ(std::memcmp(chol->L().data().data(), want_l->data().data(),
+    ASSERT_EQ(std::memcmp(chol->L().data(), want_l->data(),
                           n * n * sizeof(double)),
               0)
         << where;

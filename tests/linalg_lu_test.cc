@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "linalg/lu.h"
+#include "linalg_reference.h"
 #include "rng/random.h"
 
 namespace crowd::linalg {
@@ -136,6 +138,79 @@ TEST(LuProperty, MatrixSolveMatchesVectorSolve) {
     for (size_t i = 0; i < 4; ++i) {
       EXPECT_NEAR((*x)(i, j), (*col)[i], 1e-12);
     }
+  }
+}
+
+// Bit-for-bit equality, entry by entry.
+void ExpectBitEqual(const Matrix& got, const Matrix& want) {
+  ASSERT_EQ(got.rows(), want.rows());
+  ASSERT_EQ(got.cols(), want.cols());
+  for (size_t i = 0; i < got.rows(); ++i) {
+    for (size_t j = 0; j < got.cols(); ++j) {
+      const double g = got(i, j);
+      const double w = want(i, j);
+      EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
+          << "(" << i << "," << j << "): " << g << " vs " << w;
+    }
+  }
+}
+
+void ExpectBitEqual(const Vector& got, const Vector& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+}
+
+// The substitution kernel against the allocating column-by-column
+// solve of tests/linalg_reference.h, on both sides of the inline-storage
+// boundary (k <= 4 inline, larger orders on the heap). No diagonal
+// boost, so the pivot search swaps rows.
+TEST(LuOracle, SolveAndInverseMatchReferenceBitForBit) {
+  Random rng(29);
+  for (size_t n : {1, 2, 3, 4, 5, 6, 7, 8, 17}) {
+    for (int trial = 0; trial < 25; ++trial) {
+      Matrix a = RandomMatrix(n, &rng);
+      Vector b(n);
+      for (double& v : b) v = rng.Uniform(-3, 3);
+      Matrix rhs(n, 1 + (static_cast<size_t>(trial) % 5));
+      for (size_t i = 0; i < rhs.rows(); ++i) {
+        for (size_t j = 0; j < rhs.cols(); ++j) rhs(i, j) = rng.Uniform(-3, 3);
+      }
+      auto lu = LuDecomposition::Compute(a);
+      auto ref = ReferenceLuCompute(a);
+      ASSERT_EQ(lu.ok(), ref.ok()) << "n=" << n << " trial " << trial;
+      if (!lu.ok()) {
+        EXPECT_EQ(lu.status().ToString(), ref.status().ToString());
+        continue;
+      }
+      ExpectBitEqual(*lu->Solve(b), ReferenceLuSolve(*ref, b));
+      ExpectBitEqual(*lu->Solve(rhs), ReferenceLuSolve(*ref, rhs));
+      ExpectBitEqual(*lu->Inverse(), *ReferenceInverse(a));
+      ExpectBitEqual(*Inverse(a), *ReferenceInverse(a));
+    }
+  }
+}
+
+TEST(LuOracle, FailureStatusesMatchReference) {
+  Matrix singular_pivot{{1, 2}, {2, 4}};
+  Matrix zero_row{{0, 0}, {1, 1}};
+  // The same two failures above the inline-storage boundary.
+  Matrix big_singular(5, 5);
+  Matrix big_zero_row(5, 5);
+  Random rng(31);
+  for (size_t i = 0; i < 5; ++i) {
+    for (size_t j = 0; j < 5; ++j) {
+      big_singular(i, j) = rng.Uniform(-1, 1);
+      big_zero_row(i, j) = i == 3 ? 0.0 : rng.Uniform(-1, 1);
+    }
+  }
+  for (size_t j = 0; j < 5; ++j) big_singular(4, j) = 2.0 * big_singular(1, j);
+  for (const Matrix* a :
+       {&singular_pivot, &zero_row, &big_singular, &big_zero_row}) {
+    Status got = Inverse(*a).status();
+    Status want = ReferenceInverse(*a).status();
+    EXPECT_TRUE(got.IsNumericalError()) << got;
+    EXPECT_EQ(got.ToString(), want.ToString());
   }
 }
 

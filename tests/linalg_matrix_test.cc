@@ -102,6 +102,97 @@ TEST(Matrix, Symmetry) {
   EXPECT_FALSE(Matrix(2, 3).IsSymmetric());
 }
 
+// Fills rows x cols with distinct entries starting at `first`.
+Matrix Numbered(size_t rows, size_t cols, double first) {
+  Matrix m(rows, cols);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) {
+      m(i, j) = first + static_cast<double>(i * cols + j);
+    }
+  }
+  return m;
+}
+
+void ExpectNumbered(const Matrix& m, size_t rows, size_t cols,
+                    double first) {
+  ASSERT_EQ(m.rows(), rows);
+  ASSERT_EQ(m.cols(), cols);
+  for (size_t i = 0; i < rows * cols; ++i) {
+    EXPECT_EQ(m.data()[i], first + static_cast<double>(i)) << i;
+  }
+}
+
+// 4x4 (16 entries) is the largest inline matrix; 4x5 is on the heap.
+TEST(MatrixStorage, CopyAcrossTheInlineBoundary) {
+  for (size_t cols : {4, 5}) {
+    const Matrix original = Numbered(4, cols, 1.0);
+    Matrix copy(original);
+    ExpectNumbered(copy, 4, cols, 1.0);
+    copy(0, 0) = -1.0;  // The copy owns its entries.
+    EXPECT_EQ(original(0, 0), 1.0);
+    EXPECT_NE(copy.data(), original.data());
+    Matrix assigned;
+    assigned = original;
+    ExpectNumbered(assigned, 4, cols, 1.0);
+  }
+}
+
+TEST(MatrixStorage, MoveAcrossTheInlineBoundaryLeavesZeroByZero) {
+  for (size_t cols : {4, 5}) {
+    Matrix source = Numbered(4, cols, 1.0);
+    Matrix moved(std::move(source));
+    ExpectNumbered(moved, 4, cols, 1.0);
+    EXPECT_EQ(source.rows(), 0u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(source.cols(), 0u);
+    EXPECT_TRUE(source.empty());
+
+    Matrix target = Numbered(2, 2, 50.0);
+    target = std::move(moved);
+    ExpectNumbered(target, 4, cols, 1.0);
+    EXPECT_EQ(moved.rows(), 0u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(moved.cols(), 0u);
+    // A moved-from matrix is usable again.
+    moved = Numbered(3, 3, 7.0);
+    ExpectNumbered(moved, 3, 3, 7.0);
+  }
+}
+
+TEST(MatrixStorage, HeapBufferMovesWithoutCopying) {
+  Matrix source = Numbered(4, 5, 1.0);
+  const double* entries = source.data();
+  Matrix moved(std::move(source));
+  EXPECT_EQ(moved.data(), entries);
+}
+
+TEST(MatrixStorage, SelfAssignment) {
+  for (size_t cols : {4, 5}) {
+    Matrix m = Numbered(4, cols, 1.0);
+    Matrix& alias = m;
+    m = alias;
+    ExpectNumbered(m, 4, cols, 1.0);
+    m = std::move(alias);
+    ExpectNumbered(m, 4, cols, 1.0);
+  }
+}
+
+TEST(MatrixStorage, ReassignBetweenHeapAndInline) {
+  Matrix m = Numbered(4, 5, 1.0);  // Heap.
+  m = Numbered(2, 3, 10.0);        // Heap -> inline, by move.
+  ExpectNumbered(m, 2, 3, 10.0);
+  const Matrix big = Numbered(5, 5, 20.0);
+  m = big;  // Inline -> heap, by copy.
+  ExpectNumbered(m, 5, 5, 20.0);
+  const Matrix small = Numbered(4, 4, 30.0);
+  m = small;  // Heap -> inline, by copy.
+  ExpectNumbered(m, 4, 4, 30.0);
+  m = Numbered(6, 3, 40.0);  // Inline -> heap, by move.
+  ExpectNumbered(m, 6, 3, 40.0);
+  m = Numbered(3, 6, 50.0);  // Heap -> heap of the same length.
+  ExpectNumbered(m, 3, 6, 50.0);
+  m = big;  // Heap -> heap of another length.
+  ExpectNumbered(m, 5, 5, 20.0);
+}
+
 TEST(VectorOps, DotNormL1) {
   Vector a = {1, 2, 2};
   Vector b = {2, 0, 1};
