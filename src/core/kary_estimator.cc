@@ -42,11 +42,15 @@ Result<Jacobian> ComputeJacobian(const CountsTensor& counts,
   CountsTensor work = counts;
   for (size_t cell_idx = 0; cell_idx < jac.cells.size(); ++cell_idx) {
     const CountsCell& cell = jac.cells[cell_idx];
+    // x + eps - 2 eps + eps need not give x back (it does not for 2-4
+    // and 16-31 at eps = 0.01), and a drifted cell would shift every
+    // later derivative: restore the saved value.
+    const double original = work.at(cell);
     work.at(cell) += eps;
     auto plus = ProbEstimate(work, options.prob_estimate);
     work.at(cell) -= 2.0 * eps;
     auto minus = ProbEstimate(work, options.prob_estimate);
-    work.at(cell) += eps;  // Restore.
+    work.at(cell) = original;
 
     const ProbEstimateResult* hi = plus.ok() ? &*plus : nullptr;
     const ProbEstimateResult* lo = minus.ok() ? &*minus : nullptr;

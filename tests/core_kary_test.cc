@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "core/counts_tensor.h"
 #include "core/kary_estimator.h"
@@ -304,6 +307,93 @@ TEST(ResponseFrequencies, MatchHandComputation) {
   // d23 = 8 (triple tasks only).
   EXPECT_DOUBLE_EQ(freq->r23(0, 0), 6.0 / 8.0);
   EXPECT_DOUBLE_EQ(freq->r23(1, 0), 2.0 / 8.0);
+}
+
+// v_deviation of KaryEvaluateCounts, recomputed with every Jacobian
+// cell differentiated on a fresh copy of `counts`: the plus point is
+// x + eps and the minus point (x + eps) - 2 eps, as in the estimator,
+// and no other cell differs from `counts`. The delta-method sums run in
+// the estimator's order.
+std::array<linalg::Matrix, 3> FreshCopyDeviations(const CountsTensor& counts,
+                                                  const KaryOptions& options) {
+  const size_t k = static_cast<size_t>(counts.arity());
+  const auto base = ProbEstimate(counts, options.prob_estimate);
+  CROWD_CHECK(base.ok());
+  const std::vector<CountsCell> cells = counts.CellsWithMinWorkers(2);
+  const size_t num_cells = cells.size();
+  const double eps = options.epsilon;
+  // derivatives[worker][r * k + c][cell]
+  std::vector<std::vector<std::vector<double>>> derivatives(
+      3, std::vector<std::vector<double>>(k * k,
+                                          std::vector<double>(num_cells, 0.0)));
+  for (size_t x = 0; x < num_cells; ++x) {
+    CountsTensor work = counts;
+    work.at(cells[x]) += eps;
+    const auto plus = ProbEstimate(work, options.prob_estimate);
+    work.at(cells[x]) -= 2.0 * eps;
+    const auto minus = ProbEstimate(work, options.prob_estimate);
+    if (!plus.ok() && !minus.ok()) continue;
+    const double denom = plus.ok() && minus.ok() ? 2.0 * eps : eps;
+    for (size_t w = 0; w < 3; ++w) {
+      const int worker = static_cast<int>(w);
+      const linalg::Matrix& hi = (plus.ok() ? *plus : *base).v(worker);
+      const linalg::Matrix& lo = (minus.ok() ? *minus : *base).v(worker);
+      for (size_t r = 0; r < k; ++r) {
+        for (size_t c = 0; c < k; ++c) {
+          derivatives[w][r * k + c][x] = (hi(r, c) - lo(r, c)) / denom;
+        }
+      }
+    }
+  }
+  std::array<linalg::Matrix, 3> out;
+  for (size_t w = 0; w < 3; ++w) {
+    out[w] = linalg::Matrix(k, k);
+    for (size_t r = 0; r < k; ++r) {
+      for (size_t c = 0; c < k; ++c) {
+        const std::vector<double>& d = derivatives[w][r * k + c];
+        double variance = 0.0;
+        for (size_t x = 0; x < num_cells; ++x) {
+          if (d[x] == 0.0) continue;
+          for (size_t y = 0; y < num_cells; ++y) {
+            variance += d[x] * d[y] * counts.Covariance(cells[x], cells[y]);
+          }
+        }
+        out[w](r, c) = std::sqrt(std::max(variance, 0.0));
+      }
+    }
+  }
+  return out;
+}
+
+// Small integer counts such as 2-4 and 16-31 are not restored exactly
+// by x + eps - 2 eps + eps, so a Jacobian that perturbs one working
+// copy in place differentiates each later cell around a drifted tensor.
+TEST(KaryEstimator, JacobianDifferentiatesEveryCellAroundTheInput) {
+  Random rng(61);
+  sim::KarySimConfig config;
+  config.arity = 3;
+  config.num_tasks = 300;
+  config.assignment = sim::AssignmentConfig::Iid(0.8);
+  auto sim = sim::SimulateKary(config, &rng);
+  ASSERT_TRUE(sim.ok());
+  auto counts =
+      CountsTensor::FromResponses(sim->dataset.responses(), 0, 1, 2);
+  ASSERT_TRUE(counts.ok());
+  const KaryOptions options;
+  auto result = KaryEvaluateCounts(*counts, options);
+  ASSERT_TRUE(result.ok()) << result.status();
+  const std::array<linalg::Matrix, 3> want =
+      FreshCopyDeviations(*counts, options);
+  for (size_t w = 0; w < 3; ++w) {
+    const linalg::Matrix& got = result->workers[w].v_deviation;
+    for (size_t r = 0; r < 3; ++r) {
+      for (size_t c = 0; c < 3; ++c) {
+        EXPECT_TRUE(BitEqual(got(r, c), want[w](r, c)))
+            << "worker " << w << " (" << r << "," << c << "): " << got(r, c)
+            << " vs " << want[w](r, c);
+      }
+    }
+  }
 }
 
 TEST(KaryEstimator, IntervalsShrinkWithMoreTasks) {

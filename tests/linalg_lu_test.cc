@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 
 #include "linalg/lu.h"
 #include "linalg_reference.h"
@@ -141,26 +140,6 @@ TEST(LuProperty, MatrixSolveMatchesVectorSolve) {
   }
 }
 
-// Bit-for-bit equality, entry by entry.
-void ExpectBitEqual(const Matrix& got, const Matrix& want) {
-  ASSERT_EQ(got.rows(), want.rows());
-  ASSERT_EQ(got.cols(), want.cols());
-  for (size_t i = 0; i < got.rows(); ++i) {
-    for (size_t j = 0; j < got.cols(); ++j) {
-      const double g = got(i, j);
-      const double w = want(i, j);
-      EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
-          << "(" << i << "," << j << "): " << g << " vs " << w;
-    }
-  }
-}
-
-void ExpectBitEqual(const Vector& got, const Vector& want) {
-  ASSERT_EQ(got.size(), want.size());
-  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
-            0);
-}
-
 // The substitution kernel against the allocating column-by-column
 // solve of tests/linalg_reference.h, on both sides of the inline-storage
 // boundary (k <= 4 inline, larger orders on the heap). No diagonal
@@ -183,10 +162,10 @@ TEST(LuOracle, SolveAndInverseMatchReferenceBitForBit) {
         EXPECT_EQ(lu.status().ToString(), ref.status().ToString());
         continue;
       }
-      ExpectBitEqual(*lu->Solve(b), ReferenceLuSolve(*ref, b));
-      ExpectBitEqual(*lu->Solve(rhs), ReferenceLuSolve(*ref, rhs));
-      ExpectBitEqual(*lu->Inverse(), *ReferenceInverse(a));
-      ExpectBitEqual(*Inverse(a), *ReferenceInverse(a));
+      EXPECT_TRUE(BitEqual(*lu->Solve(b), ReferenceLuSolve(*ref, b)));
+      EXPECT_TRUE(BitEqual(*lu->Solve(rhs), ReferenceLuSolve(*ref, rhs)));
+      EXPECT_TRUE(BitEqual(*lu->Inverse(), *ReferenceInverse(a)));
+      EXPECT_TRUE(BitEqual(*Inverse(a), *ReferenceInverse(a)));
     }
   }
 }

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -25,6 +26,18 @@
 #include "util/string_util.h"
 
 namespace crowd::linalg {
+
+/// Same shape and the same bits in every entry.
+inline bool BitEqual(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     a.rows() * a.cols() * sizeof(double)) == 0;
+}
+
+inline bool BitEqual(const Vector& a, const Vector& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
 
 /// PA = LU, packed like LuDecomposition's factor.
 struct ReferenceLu {
