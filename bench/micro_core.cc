@@ -125,6 +125,36 @@ void BM_GatherBits(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherBits)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
+// Lemma 4's pair table alone: c_{i,a,b} for every pair of 196 peer rows
+// of 10 words (2l at l = 98, |T_i| ~ 600 tasks). Arg 0 is the POPCNT
+// variant, arg 1 the dispatched one (AVX-512 VPOPCNTQ where the CPU has
+// it).
+void BM_AndPopcountPairs(benchmark::State& state) {
+  constexpr size_t kRows = 196;
+  constexpr size_t kWords = 10;
+  Random rng(196);
+  std::vector<uint64_t> rows(kRows * kWords);
+  for (uint64_t& word : rows) {
+    for (int bit = 0; bit < 64; ++bit) {
+      if (rng.Bernoulli(0.3)) word |= uint64_t{1} << bit;
+    }
+  }
+  if (state.range(0) == 0 && !util::bitops_internal::HasPopcnt()) {
+    state.SkipWithError("no POPCNT variant on this CPU");
+    return;
+  }
+  auto pairs = state.range(0) == 0
+                   ? util::bitops_internal::AndPopcountPairsPopcnt
+                   : util::AndPopcountPairs;
+  std::vector<uint32_t> table(kRows * kRows);
+  for (auto _ : state) {
+    pairs(rows.data(), kRows, kWords, table.data());
+    benchmark::DoNotOptimize(table.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_AndPopcountPairs)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 // Lemma 5's linear algebra alone: factor and solve C w = 1 for a random
 // SPD matrix of order l (98 is the triples per worker of the 200 x 2000
 // crowd above).

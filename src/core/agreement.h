@@ -37,15 +37,13 @@ struct PairAgreement {
 /// 0.5 + margin, 1) of a pair that shares at least one task
 /// (c_ab > 0). ComputePairAgreement reports this value as `q`; Lemma 4
 /// reads it directly, with no Result and no metric, because it visits
-/// ~2l^2 peer pairs per worker.
+/// ~2l^2 peer pairs per worker. a_ab / c_ab is the index's stored rate.
 inline double ClampedAgreementRate(const data::OverlapIndex& overlap,
                                    data::WorkerId a, data::WorkerId b,
                                    double min_agreement_margin) {
-  const size_t common = overlap.CommonCount(a, b);
-  CROWD_DCHECK(common > 0);
-  const double q_raw = static_cast<double>(overlap.AgreementCount(a, b)) /
-                       static_cast<double>(common);
-  return std::clamp(q_raw, 0.5 + min_agreement_margin, 1.0);
+  CROWD_DCHECK(overlap.CommonCount(a, b) > 0);
+  return std::clamp(overlap.AgreementRateRow(a)[b],
+                    0.5 + min_agreement_margin, 1.0);
 }
 
 /// \brief Computes the agreement summary for a pair; fails with

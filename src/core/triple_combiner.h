@@ -12,6 +12,7 @@
 #ifndef CROWD_CORE_TRIPLE_COMBINER_H_
 #define CROWD_CORE_TRIPLE_COMBINER_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/three_worker.h"
@@ -53,6 +54,47 @@ WeightSolution MinimumVarianceWeights(const linalg::Matrix& covariance,
 Result<CombinedEstimate> CombineTriples(
     const std::vector<TripleEstimate>& triples,
     const data::OverlapIndex& overlap, const BinaryOptions& options);
+
+/// The Lemma 4 term kernels, callable directly so a test can check each
+/// one against the per-visit formula. Like util/bitops.h, there is a
+/// portable variant and an __attribute__((target("avx2"))) one, picked
+/// on first call; both evaluate every term with the same expression in
+/// the same order, so they agree to the bit.
+namespace triple_combiner_internal {
+
+/// What the (k1, k2) loop reads for worker i's l triples. Slot
+/// s = 2k + t is triple k's peer j1 (t = 0) or j2 (t = 1).
+struct CovarianceTerms {
+  size_t l = 0;
+  /// p[k]: triple k's estimate of p_i.
+  const double* p = nullptr;
+  /// d[t][k] = d_{i,j_t} and c_i[t][k] = c_{i,j_t} of triple k.
+  const double* d[2] = {nullptr, nullptr};
+  const double* c_i[2] = {nullptr, nullptr};
+  /// peer[s]: the worker in slot s.
+  const data::WorkerId* peer = nullptr;
+  /// c_{i,a,b} at c_triple[a * 2l + b] for slots a < b.
+  const uint32_t* c_triple = nullptr;
+  const data::OverlapIndex* overlap = nullptr;
+  /// 0.5 + min_agreement_margin: the clamp's lower bound.
+  double q_min = 0.5;
+};
+
+/// Writes the off-diagonal sum of entry (k1, k2), k1 < k2, to
+/// cov[k1 * l + k2]; leaves every other entry as it is.
+void CovarianceTermsPortable(const CovarianceTerms& terms, double* cov);
+/// Precondition: util::CpuHasAvx2().
+void CovarianceTermsAvx2(const CovarianceTerms& terms, double* cov);
+
+using CovarianceKernel = void (*)(const CovarianceTerms&, double*);
+
+/// CrossTripleCovariance with `kernel` in place of the dispatched one.
+Result<linalg::Matrix> CrossTripleCovarianceWith(
+    CovarianceKernel kernel,
+    const std::vector<TripleEstimate>& triples,
+    const data::OverlapIndex& overlap, const BinaryOptions& options);
+
+}  // namespace triple_combiner_internal
 
 }  // namespace crowd::core
 

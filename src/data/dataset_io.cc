@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "data/overlap_index.h"
 #include "util/csv.h"
 #include "util/string_util.h"
 
@@ -13,7 +14,6 @@ namespace {
 
 // ResponseMatrix's cells are an int16 vector.
 constexpr int kMaxArity = 32767;
-const size_t kMaxCells = std::vector<int16_t>().max_size();
 
 struct ResponseRow {
   size_t worker;
@@ -97,14 +97,21 @@ Result<Dataset> LoadDatasetCsv(const std::string& name,
   int arity = options.arity;
   for (size_t i = 0; i < rows.size(); ++i) {
     const ResponseRow& row = rows[i];
+    // The overlap index counts co-attempted tasks in uint32_t.
+    if (row.task >= OverlapIndex::kMaxTasks) {
+      return Status::IoError(StrFormat(
+          "task id %zu in responses row %zu is above the largest "
+          "supported task id %zu",
+          row.task, i + 1, OverlapIndex::kMaxTasks - 1));
+    }
     num_workers = std::max(num_workers, row.worker + 1);
     num_tasks = std::max(num_tasks, row.task + 1);
-    // Also rules out a cell count that wraps around size_t.
-    if (num_workers > kMaxCells / num_tasks) {
+    // Dividing rules out a cell count that wraps around size_t.
+    if (num_workers > kMaxLoadCells / num_tasks) {
       return Status::IoError(StrFormat(
-          "responses row %zu makes a %zu x %zu matrix, more cells than "
-          "one vector can hold",
-          i + 1, num_workers, num_tasks));
+          "responses row %zu makes a %zu x %zu matrix, more than the "
+          "%zu cells a dataset may have",
+          i + 1, num_workers, num_tasks, kMaxLoadCells));
     }
     if (arity == 0 || options.arity == 0) {
       arity = std::max(arity, row.response + 1);

@@ -9,6 +9,7 @@
 #ifndef CROWD_DATA_DATASET_IO_H_
 #define CROWD_DATA_DATASET_IO_H_
 
+#include <cstddef>
 #include <string>
 
 #include "data/dataset.h"
@@ -31,9 +32,16 @@ struct LoadOptions {
   size_t num_tasks = 0;
 };
 
+/// The largest matrix LoadDatasetCsv builds: 2^28 cells, 512 MiB of
+/// int16 (the bundled datasets have at most a few hundred thousand).
+inline constexpr size_t kMaxLoadCells = size_t{1} << 28;
+
 /// \brief Loads a dataset; `gold_path` may be empty (no gold labels).
 /// Malformed rows, out-of-range labels and duplicate (worker, task)
-/// pairs with conflicting responses produce IoError.
+/// pairs with conflicting responses produce IoError. So does a row
+/// whose ids make the matrix larger than kMaxLoadCells, or whose task
+/// id is at or above OverlapIndex::kMaxTasks; both are checked row by
+/// row, before the matrix is allocated, and the error names the row.
 Result<Dataset> LoadDatasetCsv(const std::string& name,
                                const std::string& responses_path,
                                const std::string& gold_path = "",

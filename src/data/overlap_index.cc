@@ -12,7 +12,9 @@ OverlapIndex::OverlapIndex(const ResponseMatrix& responses)
       words_per_worker_((num_tasks_ + 63) / 64),
       attempt_bits_(num_workers_ * words_per_worker_, 0),
       pair_common_(num_workers_ * num_workers_, 0),
-      pair_agree_(num_workers_ * num_workers_, 0) {
+      pair_agree_(num_workers_ * num_workers_, 0),
+      pair_rate_(num_workers_ * num_workers_, 0.0) {
+  CROWD_CHECK_LE(num_tasks_, kMaxTasks);
   // Per-(worker, response value) bitmasks, concatenated; each attempt
   // bit is set in exactly one value plane.
   const size_t arity = static_cast<size_t>(responses.arity());
@@ -40,10 +42,21 @@ OverlapIndex::OverlapIndex(const ResponseMatrix& responses)
         agree += util::AndPopcount(value_row(i, r), value_row(j, r),
                                    words_per_worker_);
       }
-      pair_common_[Index(i, j)] = pair_common_[Index(j, i)] = common;
-      pair_agree_[Index(i, j)] = pair_agree_[Index(j, i)] = agree;
+      pair_common_[Index(i, j)] = pair_common_[Index(j, i)] =
+          static_cast<uint32_t>(common);
+      pair_agree_[Index(i, j)] = pair_agree_[Index(j, i)] =
+          static_cast<uint32_t>(agree);
+      UpdateRate(i, j);
     }
   }
+}
+
+void OverlapIndex::UpdateRate(WorkerId i, WorkerId j) {
+  const uint32_t common = pair_common_[Index(i, j)];
+  pair_rate_[Index(i, j)] = pair_rate_[Index(j, i)] =
+      common == 0 ? 0.0
+                  : static_cast<double>(pair_agree_[Index(i, j)]) /
+                        static_cast<double>(common);
 }
 
 Result<double> OverlapIndex::AgreementRate(WorkerId i, WorkerId j) const {
@@ -52,8 +65,7 @@ Result<double> OverlapIndex::AgreementRate(WorkerId i, WorkerId j) const {
     return Status::InsufficientData(StrFormat(
         "workers %zu and %zu have no tasks in common", i, j));
   }
-  return static_cast<double>(AgreementCount(i, j)) /
-         static_cast<double>(common);
+  return pair_rate_[Index(i, j)];
 }
 
 Status OverlapIndex::ApplyResponse(WorkerId w, TaskId t,
@@ -90,13 +102,17 @@ Status OverlapIndex::ApplyResponse(WorkerId w, TaskId t,
       } else if (*rv != *previous && *rv == *current) {
         ++pair_agree_[idx];
         ++pair_agree_[idx_t];
+      } else {
+        continue;
       }
     }
+    UpdateRate(w, v);
   }
   if (newly_attempted) {
     // Self counts track the worker's attempted-task total.
     ++pair_common_[Index(w, w)];
     ++pair_agree_[Index(w, w)];
+    UpdateRate(w, w);
     AttemptBits(w)[t / 64] |= uint64_t{1} << (t % 64);
   }
   return Status::OK();

@@ -15,8 +15,16 @@
 // per-cell std::optional scan the construction used to run
 // (O(m^2 n) cell probes -> O(m^2 (k+1) n/64) word ANDs). The value
 // masks V are only needed for the a_ij sums, so they live in the
-// constructor alone; the index keeps the attempt masks and the pair
-// counts, which is everything evaluation reads.
+// constructor alone; the index keeps the attempt masks, the pair
+// counts and the agreement rates a_ij / c_ij, which is everything
+// evaluation reads.
+//
+// The rates are stored next to the counts, so evaluation reads one
+// double per pair instead of two counts and a division; ApplyResponse
+// refreshes the rate of each pair whose counts it changes (one
+// division per co-attempter). The counts are uint32_t: a count is at
+// most num_tasks, which the constructor bounds by kMaxTasks. Counts
+// and rates together take 16 m^2 bytes.
 //
 // Once built, the index is immutable under evaluation: the estimators
 // only call the const accessors, which is what makes the worker-level
@@ -30,6 +38,7 @@
 #define CROWD_DATA_OVERLAP_INDEX_H_
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -42,6 +51,13 @@ namespace crowd::data {
 /// \brief Pairwise co-attempt and agreement counts via bitset kernels.
 class OverlapIndex {
  public:
+  /// The most tasks an index takes: a pair count is at most the task
+  /// count and is stored as uint32_t.
+  static constexpr size_t kMaxTasks = std::numeric_limits<uint32_t>::max();
+
+  /// CHECK-fails when responses.num_tasks() > kMaxTasks.
+  /// LoadDatasetCsv rejects such a shape earlier with an IoError, and
+  /// the journal and snapshot headers store the task count as a u32.
   explicit OverlapIndex(const ResponseMatrix& responses);
 
   size_t num_workers() const { return num_workers_; }
@@ -58,6 +74,14 @@ class OverlapIndex {
 
   /// q_ij estimate = agreements / common tasks; fails when c_ij == 0.
   Result<double> AgreementRate(WorkerId i, WorkerId j) const;
+
+  /// Row i of the stored rates: entry j is
+  /// AgreementCount(i, j) / CommonCount(i, j), the same division
+  /// AgreementRate returns, or 0 when c_ij == 0. num_workers() entries.
+  const double* AgreementRateRow(WorkerId i) const {
+    CROWD_DCHECK(i < num_workers_);
+    return pair_rate_.data() + i * num_workers_;
+  }
 
   /// c_ijk: number of tasks attempted by all three workers. Each call
   /// ANDs three full rows of ceil(n/64) words, however sparse the
@@ -90,7 +114,8 @@ class OverlapIndex {
   /// `t` having just been set in the underlying matrix (call *after*
   /// ResponseMatrix::Set). `previous` is the response the cell held
   /// before, or nullopt when it was missing. O(m) per update — the
-  /// incremental-evaluation mode of the paper's conclusion.
+  /// incremental-evaluation mode of the paper's conclusion — plus one
+  /// division per pair whose counts change.
   Status ApplyResponse(WorkerId w, TaskId t,
                        std::optional<Response> previous);
 
@@ -99,6 +124,9 @@ class OverlapIndex {
     CROWD_DCHECK(i < num_workers_ && j < num_workers_);
     return i * num_workers_ + j;
   }
+
+  /// Stores a_ij / c_ij (0 when c_ij == 0) at (i, j) and (j, i).
+  void UpdateRate(WorkerId i, WorkerId j);
 
   uint64_t* AttemptBits(WorkerId w) {
     return attempt_bits_.data() + w * words_per_worker_;
@@ -113,8 +141,10 @@ class OverlapIndex {
   size_t words_per_worker_;
   /// Per-worker attempt bitmask, concatenated.
   std::vector<uint64_t> attempt_bits_;
-  std::vector<size_t> pair_common_;
-  std::vector<size_t> pair_agree_;
+  std::vector<uint32_t> pair_common_;
+  std::vector<uint32_t> pair_agree_;
+  /// a_ij / c_ij, or 0 when c_ij == 0; symmetric like the counts.
+  std::vector<double> pair_rate_;
 };
 
 }  // namespace crowd::data

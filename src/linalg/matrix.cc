@@ -107,9 +107,19 @@ double Matrix::FrobeniusNorm() const {
 }
 
 double Matrix::MaxAbs() const {
-  double best = 0.0;
-  for (double x : data_) best = std::max(best, std::fabs(x));
-  return best;
+  // Four running maxima: one chain of dependent max operations is bound
+  // by their latency. The largest entry is the same in any order (a
+  // NaN never wins a std::max against the running value).
+  double best[4] = {0.0, 0.0, 0.0, 0.0};
+  const size_t size = data_.size();
+  size_t k = 0;
+  for (; k + 4 <= size; k += 4) {
+    for (size_t r = 0; r < 4; ++r) {
+      best[r] = std::max(best[r], std::fabs(data_[k + r]));
+    }
+  }
+  for (; k < size; ++k) best[0] = std::max(best[0], std::fabs(data_[k]));
+  return std::max(std::max(best[0], best[1]), std::max(best[2], best[3]));
 }
 
 double Matrix::MaxAbsDiff(const Matrix& other) const {

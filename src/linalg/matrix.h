@@ -150,6 +150,7 @@ class Matrix {
   }
 
   /// The rows() * cols() entries, row-major.
+  double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
 
   Matrix Transposed() const;

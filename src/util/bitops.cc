@@ -186,31 +186,46 @@ __attribute__((target("popcnt"))) void AndPopcountPairsPopcnt(
 }
 
 // Word w of eight consecutive rows b..b+7 sits in one vector of the
-// transposed rows, so one VPOPCNTQ counts eight pairs (a, b) at once.
+// transposed rows, so one VPOPCNTQ counts eight pairs (a, b) at once;
+// two such vectors, 16 rows, share each broadcast word of row a. The
+// transposed rows end in 16 zero rows, so a pass that starts at any
+// b < num_rows loads in bounds with no mask; its stores drop the lanes
+// past the last row.
 __attribute__((target("avx512f,avx512vpopcntdq"))) void
 AndPopcountPairsAvx512(const uint64_t* rows, size_t num_rows, size_t words,
                        uint32_t* table) {
-  std::vector<uint64_t> columns(words * num_rows);
+  constexpr size_t kLanes = 8;
+  constexpr size_t kVectors = 2;
+  const size_t stride = num_rows + kVectors * kLanes;
+  std::vector<uint64_t> columns(words * stride, 0);
   for (size_t r = 0; r < num_rows; ++r) {
     for (size_t w = 0; w < words; ++w) {
-      columns[w * num_rows + r] = rows[r * words + w];
+      columns[w * stride + r] = rows[r * words + w];
     }
   }
   for (size_t a = 0; a < num_rows; ++a) {
     const uint64_t* ra = rows + a * words;
     uint32_t* out = table + a * num_rows;
-    for (size_t b = a + 1; b < num_rows; b += 8) {
-      const __mmask8 lanes = static_cast<__mmask8>(
-          num_rows - b >= 8 ? 0xFF : (1u << (num_rows - b)) - 1);
-      __m512i counts = _mm512_setzero_si512();
+    for (size_t b = a + 1; b < num_rows; b += kVectors * kLanes) {
+      __m512i counts[kVectors] = {_mm512_setzero_si512(),
+                                  _mm512_setzero_si512()};
       for (size_t w = 0; w < words; ++w) {
-        const __m512i column =
-            _mm512_maskz_loadu_epi64(lanes, columns.data() + w * num_rows + b);
         const __m512i word = _mm512_set1_epi64(static_cast<long long>(ra[w]));
-        counts = _mm512_add_epi64(
-            counts, _mm512_popcnt_epi64(_mm512_and_si512(column, word)));
+        const uint64_t* column = columns.data() + w * stride + b;
+#pragma GCC unroll 2
+        for (size_t v = 0; v < kVectors; ++v) {
+          const __m512i bits = _mm512_and_si512(
+              _mm512_loadu_si512(column + v * kLanes), word);
+          counts[v] = _mm512_add_epi64(counts[v], _mm512_popcnt_epi64(bits));
+        }
       }
-      _mm512_mask_cvtepi64_storeu_epi32(out + b, lanes, counts);
+      for (size_t v = 0; v < kVectors && b + v * kLanes < num_rows; ++v) {
+        const size_t first = b + v * kLanes;
+        const size_t left = num_rows - first;
+        const __mmask8 lanes = static_cast<__mmask8>(
+            left >= kLanes ? 0xFF : (1u << left) - 1);
+        _mm512_mask_cvtepi64_storeu_epi32(out + first, lanes, counts[v]);
+      }
     }
   }
 }

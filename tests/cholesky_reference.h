@@ -1,9 +1,9 @@
-// The dot-product Cholesky factor and solve that
-// linalg::CholeskyDecomposition's four-row blocked loops must reproduce
+// The dot-product Cholesky factor and solve that every variant of
+// linalg::CholeskyDecomposition's row-vectorized kernels must reproduce
 // bit for bit: one row, one accumulator, at a time. Each entry is the
-// same chain of subtractions in the same k order as in the blocked
-// form, so the two agree exactly when the compiler contracts no
-// multiply-add into an FMA (the build passes -ffp-contract=off).
+// same chain of subtractions in the same k order as in a vector lane,
+// so the two agree exactly when the compiler contracts no multiply-add
+// into an FMA (the build passes -ffp-contract=off).
 
 #ifndef CROWD_TESTS_CHOLESKY_REFERENCE_H_
 #define CROWD_TESTS_CHOLESKY_REFERENCE_H_

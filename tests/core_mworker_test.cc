@@ -9,6 +9,7 @@
 #include <cstring>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/agreement.h"
@@ -19,6 +20,7 @@
 #include "obs/metrics.h"
 #include "rng/random.h"
 #include "sim/simulator.h"
+#include "util/cpu.h"
 
 namespace crowd::core {
 namespace {
@@ -279,6 +281,7 @@ TEST(Combiner, OptimalWeightsNeverWorseThanUniform) {
 struct ReferenceVisits {
   size_t zero_triple = 0;  // visits with c_{i,a,b} == 0
   size_t clamped = 0;      // visits whose q_{a,b} was clamped
+  std::set<size_t> sizes;  // triple counts l of the checked workers
 };
 
 // Lemma 4 as first written: one TripleCommonCount and one
@@ -328,10 +331,36 @@ linalg::Matrix ReferenceCovariance(const std::vector<TripleEstimate>& triples,
   return cov;
 }
 
-// Checks CrossTripleCovariance against the reference for up to ~25
-// workers of `matrix` (evenly strided) that have at least two triples;
-// returns what the reference saw. Clamped triples are kept so clamped
-// pairs reach the covariance.
+// The Lemma 4 term kernels a test can run directly: the portable one,
+// and the AVX2 one where the CPU has AVX2.
+std::vector<std::pair<std::string, triple_combiner_internal::CovarianceKernel>>
+TermKernels() {
+  using namespace triple_combiner_internal;
+  std::vector<std::pair<std::string, CovarianceKernel>> kernels = {
+      {"portable", CovarianceTermsPortable}};
+  if (util::CpuHasAvx2()) kernels.emplace_back("avx2", CovarianceTermsAvx2);
+  return kernels;
+}
+
+void ExpectSameBits(const linalg::Matrix& got, const linalg::Matrix& want,
+                    const std::string& where) {
+  ASSERT_EQ(got.rows(), want.rows()) << where;
+  for (size_t r = 0; r < got.rows(); ++r) {
+    for (size_t c = 0; c < got.cols(); ++c) {
+      const double g = got(r, c);
+      const double w = want(r, c);
+      EXPECT_EQ(std::memcmp(&g, &w, sizeof(double)), 0)
+          << where << " entry (" << r << ", " << c << "): " << g << " vs "
+          << w;
+    }
+  }
+}
+
+// Checks CrossTripleCovariance, and CrossTripleCovarianceWith each term
+// kernel, against the reference for up to ~25 workers of `matrix`
+// (evenly strided) that have at least one triple; returns what the
+// reference saw. Clamped triples are kept so clamped pairs reach the
+// covariance.
 ReferenceVisits ExpectCovarianceBitIdentical(
     const data::ResponseMatrix& matrix, const std::string& label) {
   data::OverlapIndex overlap(matrix);
@@ -346,21 +375,21 @@ ReferenceVisits ExpectCovarianceBitIdentical(
       auto t = EvaluateTriple(overlap, w, j1, j2, options);
       if (t.ok()) triples.push_back(std::move(*t));
     }
-    if (triples.size() < 2) continue;
-    auto cov = CrossTripleCovariance(triples, overlap, options);
-    EXPECT_TRUE(cov.ok()) << label << " worker " << w;
-    if (!cov.ok()) continue;
-    linalg::Matrix expected =
+    if (triples.empty()) continue;
+    const std::string where = label + " worker " + std::to_string(w);
+    const linalg::Matrix expected =
         ReferenceCovariance(triples, overlap, options, &visits);
-    for (size_t r = 0; r < triples.size(); ++r) {
-      for (size_t c = 0; c < triples.size(); ++c) {
-        const double got = (*cov)(r, c);
-        const double want = expected(r, c);
-        EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
-            << label << " worker " << w << " entry (" << r << ", " << c
-            << "): " << got << " vs " << want;
-      }
+    auto cov = CrossTripleCovariance(triples, overlap, options);
+    EXPECT_TRUE(cov.ok()) << where;
+    if (!cov.ok()) continue;
+    ExpectSameBits(*cov, expected, where + " dispatched");
+    for (const auto& [name, kernel] : TermKernels()) {
+      auto direct = triple_combiner_internal::CrossTripleCovarianceWith(
+          kernel, triples, overlap, options);
+      EXPECT_TRUE(direct.ok()) << where << " " << name;
+      if (direct.ok()) ExpectSameBits(*direct, expected, where + " " + name);
     }
+    visits.sizes.insert(triples.size());
     ++checked;
   }
   EXPECT_GT(checked, 0u) << label;
@@ -383,6 +412,23 @@ TEST(Covariance, BitIdenticalToPerVisitFormulaAcrossSimulatedCrowds) {
                 " seed=" + std::to_string(seed));
       }
     }
+  }
+}
+
+TEST(Covariance, BitIdenticalForEveryTripleCountOneToNine) {
+  // 2l + 1 workers at full density pair into l triples each, so every
+  // row k1 < l of the (k1, k2) loop leaves l - k1 - 1 entries: every
+  // vector-tail length of every kernel occurs.
+  for (size_t l = 1; l <= 9; ++l) {
+    Random rng(70 + l);
+    sim::BinarySimConfig config;
+    config.num_workers = 2 * l + 1;
+    config.num_tasks = 90;
+    config.assignment = sim::AssignmentConfig::Iid(1.0);
+    auto sim = sim::SimulateBinary(config, &rng);
+    const ReferenceVisits visits = ExpectCovarianceBitIdentical(
+        sim.dataset.responses(), "l=" + std::to_string(l));
+    EXPECT_EQ(visits.sizes.count(l), 1u) << "l=" << l;
   }
 }
 

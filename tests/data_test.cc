@@ -5,6 +5,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -274,10 +276,42 @@ TEST(DatasetIo, ResponseAboveIntMaxIsAnErrorNotTruncated) {
 }
 
 TEST(DatasetIo, ShapeWhoseCellCountOverflowsIsAnError) {
-  // (2^32 + 1) workers x 2^32 tasks wraps size_t to 2^32 cells.
+  // (2^32 + 1) workers x 2^32 tasks would wrap size_t to 2^32 cells;
+  // row 2 alone, 2^32 + 1 cells, is already above kMaxLoadCells.
   ExpectLoadIoError(
       "worker,task,response\n0,0,1\n4294967296,0,1\n0,4294967295,0\n",
-      "row 3");
+      "row 2");
+}
+
+TEST(DatasetIo, HugeWorkerIdIsAnErrorNotAnAllocation) {
+  // Sized from its largest id, this two-row file used to ask for a
+  // 4e9 x 1 matrix: 8 GB of cells.
+  ExpectLoadIoError("worker,task,response\n0,0,1\n4000000000,0,1\n",
+                    "row 2");
+}
+
+TEST(DatasetIo, ShapeAboveTheCellCapIsAnError) {
+  // 2^14 x (2^14 + 1) is just above kMaxLoadCells = 2^28; rows 1 and 2
+  // alone (2^14 x 1) are far below it.
+  static_assert(kMaxLoadCells == size_t{1} << 28);
+  ExpectLoadIoError("worker,task,response\n0,0,1\n16383,0,1\n0,16384,0\n",
+                    "row 3");
+  std::string path = testing::TempDir() + "/tall.csv";
+  ASSERT_TRUE(
+      WriteStringToFile("worker,task,response\n0,0,1\n16383,0,1\n", path)
+          .ok());
+  auto loaded = LoadDatasetCsv("tall", path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->responses().num_workers(), 16384u);
+}
+
+TEST(DatasetIo, TaskIdPastTheCountWidthIsAnError) {
+  // Pair counts are uint32_t, so a task id must stay below
+  // OverlapIndex::kMaxTasks = 2^32 - 1; this is checked before the cell
+  // cap, so the message names the id.
+  ExpectLoadIoError("worker,task,response\n0,0,1\n0,4294967295,1\n",
+                    "task id 4294967295 in responses row 2");
 }
 
 TEST(DatasetIo, GoldLabelOutsideArityIsAnErrorNotTruncated) {
@@ -333,6 +367,88 @@ TEST(OverlapIndex, PaperWorkedExample) {
   EXPECT_EQ(overlap.CommonCount(0, 2), 70u);
   EXPECT_EQ(overlap.CommonCount(1, 2), 70u);
   EXPECT_EQ(overlap.TripleCommonCount(0, 1, 2), 60u);
+}
+
+// Every stored rate is AgreementCount / CommonCount, or 0 when the
+// pair shares no task, and every count and rate equals a freshly built
+// index's, compared bit for bit.
+void ExpectSameAsFreshIndex(const OverlapIndex& index,
+                            const ResponseMatrix& matrix,
+                            const std::string& where) {
+  const OverlapIndex fresh(matrix);
+  for (WorkerId i = 0; i < matrix.num_workers(); ++i) {
+    for (WorkerId j = 0; j < matrix.num_workers(); ++j) {
+      const size_t common = index.CommonCount(i, j);
+      ASSERT_EQ(common, fresh.CommonCount(i, j)) << where;
+      ASSERT_EQ(index.AgreementCount(i, j), fresh.AgreementCount(i, j))
+          << where;
+      const double rate = index.AgreementRateRow(i)[j];
+      const double want =
+          common == 0 ? 0.0
+                      : static_cast<double>(index.AgreementCount(i, j)) /
+                            static_cast<double>(common);
+      const double fresh_rate = fresh.AgreementRateRow(i)[j];
+      ASSERT_EQ(std::memcmp(&rate, &want, sizeof rate), 0)
+          << where << " (" << i << ", " << j << ")";
+      ASSERT_EQ(std::memcmp(&rate, &fresh_rate, sizeof rate), 0)
+          << where << " (" << i << ", " << j << ")";
+      auto checked = index.AgreementRate(i, j);
+      if (common == 0) {
+        ASSERT_TRUE(checked.status().IsInsufficientData()) << where;
+      } else {
+        ASSERT_TRUE(checked.ok()) << where;
+        ASSERT_EQ(std::memcmp(&*checked, &want, sizeof want), 0) << where;
+      }
+    }
+  }
+}
+
+// ApplyResponse keeps the stored rates in step with the counts over a
+// random stream of new responses, overwrites that keep the value and
+// overwrites that flip agreements; a copy taken mid-stream keeps the
+// state it was copied in.
+TEST(OverlapIndexProperty, StoredRatesFollowEveryResponse) {
+  for (int arity : {2, 3}) {
+    Random rng(static_cast<uint64_t>(40 + arity));
+    // 70 tasks: two bitset words, the last one partial.
+    ResponseMatrix matrix(6, 70, arity);
+    OverlapIndex index(matrix);
+    std::optional<ResponseMatrix> copied_matrix;
+    std::optional<OverlapIndex> copy;
+    size_t overwrites = 0, flips = 0;
+    for (int step = 0; step < 500; ++step) {
+      const WorkerId w = rng.UniformInt(6);
+      const TaskId t = rng.UniformInt(70);
+      const auto previous = matrix.Get(w, t);
+      const int value = static_cast<int>(rng.UniformInt(arity));
+      ASSERT_TRUE(matrix.Set(w, t, value).ok());
+      ASSERT_TRUE(index.ApplyResponse(w, t, previous).ok());
+      if (previous.has_value()) {
+        ++overwrites;
+        if (*previous != value) ++flips;
+      }
+      const std::string where =
+          "arity " + std::to_string(arity) + " step " + std::to_string(step);
+      ExpectSameAsFreshIndex(index, matrix, where);
+      if (step == 250) {
+        copied_matrix.emplace(matrix);
+        copy.emplace(index);
+      }
+      if (copy.has_value()) {
+        ExpectSameAsFreshIndex(*copy, *copied_matrix, "copy at " + where);
+      }
+    }
+    EXPECT_GT(overwrites, 50u);
+    EXPECT_GT(flips, 20u);
+  }
+}
+
+TEST(OverlapIndexDeathTest, MoreTasksThanACountHoldsIsFatal) {
+  // Zero workers, so neither index allocates anything.
+  const ResponseMatrix at_bound(0, OverlapIndex::kMaxTasks, 2);
+  EXPECT_EQ(OverlapIndex(at_bound).num_workers(), 0u);
+  const ResponseMatrix above(0, OverlapIndex::kMaxTasks + 1, 2);
+  EXPECT_DEATH(OverlapIndex{above}, "num_tasks_ <= kMaxTasks");
 }
 
 // Bitset triple counting agrees with brute force on random data.

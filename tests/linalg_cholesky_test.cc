@@ -5,11 +5,13 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "cholesky_reference.h"
 #include "linalg/cholesky.h"
 #include "linalg/lu.h"
 #include "rng/random.h"
+#include "util/cpu.h"
 
 namespace crowd::linalg {
 namespace {
@@ -85,49 +87,92 @@ TEST(CholeskyProperty, AgreesWithLu) {
   }
 }
 
-// The four-row blocked factor and forward solve against the one-row
-// loops they replaced (cholesky_reference.h), to the bit, at every size
-// 1..130: every remainder of n mod 4, blocks of rows before and after
-// the pivot column, and the l ~ 98 of perfbench's batch_binary.
-TEST(CholeskyOracle, BlockedFactorAndSolveMatchReferenceBitForBit) {
+// One factor/solve kernel pair; `available` is false when the CPU lacks
+// its instructions.
+struct Variant {
+  const char* name;
+  bool available;
+  Status (*factor)(const Matrix& a, double pivot_tol, Matrix* lt);
+  Vector (*solve)(const Matrix& lt, const Vector& b);
+};
+
+std::vector<Variant> Variants() {
+  return {
+      {"portable", true, cholesky_internal::FactorPortable,
+       cholesky_internal::SolvePortable},
+      {"avx2", util::CpuHasAvx2(), cholesky_internal::FactorAvx2,
+       cholesky_internal::SolveAvx2},
+  };
+}
+
+// Each factor/solve variant, and the dispatched Compute/Solve, against
+// the one-row loops in cholesky_reference.h, to the bit, at every order
+// 1..130: every remainder of n mod 16 and mod 4, full blocks of rows
+// before and after the pivot column, and the l ~ 98 of perfbench's
+// batch_binary.
+TEST(CholeskyOracle, EveryVariantMatchesReferenceBitForBit) {
   Random rng(2015);
   for (size_t n = 1; n <= 130; ++n) {
-    const std::string where = "n=" + std::to_string(n);
     const Matrix a = RandomSpd(n, &rng);
-    auto chol = CholeskyDecomposition::Compute(a);
-    ASSERT_TRUE(chol.ok()) << where << ": " << chol.status();
+    Vector b(n);
+    for (double& v : b) v = rng.Uniform(-2, 2);
     const auto want_l = ReferenceCholeskyFactor(a);
-    ASSERT_TRUE(want_l.has_value()) << where;
+    ASSERT_TRUE(want_l.has_value()) << "n=" << n;
+    const Vector want_x = ReferenceCholeskySolve(*want_l, b);
+
+    auto chol = CholeskyDecomposition::Compute(a);
+    ASSERT_TRUE(chol.ok()) << "n=" << n << ": " << chol.status();
     ASSERT_EQ(std::memcmp(chol->L().data(), want_l->data(),
                           n * n * sizeof(double)),
               0)
-        << where;
-
-    Vector b(n);
-    for (double& v : b) v = rng.Uniform(-2, 2);
+        << "dispatched n=" << n;
     auto x = chol->Solve(b);
-    ASSERT_TRUE(x.ok()) << where;
-    const Vector want_x = ReferenceCholeskySolve(*want_l, b);
+    ASSERT_TRUE(x.ok()) << "n=" << n;
     ASSERT_EQ(std::memcmp(x->data(), want_x.data(), n * sizeof(double)), 0)
-        << where;
+        << "dispatched n=" << n;
+
+    const Matrix want_lt = want_l->Transposed();
+    for (const Variant& variant : Variants()) {
+      if (!variant.available) continue;
+      const std::string where =
+          std::string(variant.name) + " n=" + std::to_string(n);
+      Matrix lt(n, n);
+      ASSERT_TRUE(variant.factor(a, 1e-300, &lt).ok()) << where;
+      ASSERT_EQ(std::memcmp(lt.data(), want_lt.data(), n * n * sizeof(double)),
+                0)
+          << where;
+      const Vector got_x = variant.solve(want_lt, b);
+      ASSERT_EQ(std::memcmp(got_x.data(), want_x.data(), n * sizeof(double)),
+                0)
+          << where;
+    }
   }
 }
 
-TEST(CholeskyOracle, FailsAtTheSamePivotAsReference) {
+TEST(CholeskyOracle, EveryVariantFailsAtTheSamePivotWithTheSameMessage) {
   // A negative diagonal entry at c makes pivot c the first one that is
-  // not positive: the blocked loops must stop at that column too.
+  // not positive: every variant must stop at that column too, with the
+  // same pivot value in the message. Orders 5, 8 and 13 fit in one
+  // block; 21 and 37 have full blocks below the failing column.
   Random rng(4);
-  for (size_t n : {5, 8, 13}) {
+  for (size_t n : {5, 8, 13, 21, 37}) {
     for (size_t c = 0; c < n; ++c) {
       Matrix a = RandomSpd(n, &rng);
       a(c, c) = -1.0;
       EXPECT_FALSE(ReferenceCholeskyFactor(a).has_value());
       auto chol = CholeskyDecomposition::Compute(a);
       ASSERT_TRUE(chol.status().IsNumericalError());
-      EXPECT_NE(chol.status().message().find(
-                    "column " + std::to_string(c) + ")"),
+      const std::string message = chol.status().message();
+      EXPECT_NE(message.find("column " + std::to_string(c) + ")"),
                 std::string::npos)
-          << chol.status();
+          << message;
+      for (const Variant& variant : Variants()) {
+        if (!variant.available) continue;
+        Matrix lt(n, n);
+        const Status status = variant.factor(a, 1e-300, &lt);
+        EXPECT_TRUE(status.IsNumericalError()) << variant.name;
+        EXPECT_EQ(status.message(), message) << variant.name;
+      }
     }
   }
 }

@@ -101,15 +101,16 @@ TEST(Bitops, DispatchedMatchesReference) {
 
 using PairsKernel = void (*)(const uint64_t*, size_t, size_t, uint32_t*);
 
-// Every pair a < b of up to 20 rows (full and partial blocks of four
-// and of eight), over word counts 0..20, against the two-row
-// AndPopcount; the cells at and below the diagonal must keep the
-// sentinel the table was filled with.
+// Every pair a < b of up to 40 rows (full and partial blocks of four
+// rows, and of the AVX-512 variant's 8-row vectors and 16-row passes),
+// over word counts 0..20, against the two-row AndPopcount; the cells at
+// and below the diagonal must keep the sentinel the table was filled
+// with.
 void CheckPairs(PairsKernel pairs) {
   constexpr uint32_t kSentinel = 0xDEADBEEF;
   std::mt19937_64 gen(7);
   for (size_t words = 0; words <= 20; ++words) {
-    for (size_t num_rows = 0; num_rows <= 20; ++num_rows) {
+    for (size_t num_rows = 0; num_rows <= 40; ++num_rows) {
       Row rows(num_rows * words);
       for (size_t r = 0; r < num_rows; ++r) {
         const Row row = MakeRow(kFills[(r + words) % 5], words, &gen);
