@@ -145,22 +145,21 @@ Result<linalg::Matrix> CrossTripleCovarianceWith(
   // row B_peer = A_i & A_peer compacted to i's tasks. One kernel call
   // counts c_{i,a,b} for every slot pair a < b into `c_triple` (row a,
   // column b); the term kernel reads the pairs whose slots belong to
-  // different triples. p, d and c_{i,peer} are stored per triple in
-  // rows of their own, so consecutive k2 are adjacent.
+  // different triples. p, d_{i,j1}, d_{i,j2}, c_{i,j1} and c_{i,j2} are
+  // rows of `columns`, one entry per triple, so that consecutive k2 are
+  // adjacent.
   std::vector<data::WorkerId> peer(2 * l);
   std::vector<double> columns(5 * l);
   double* p = columns.data();
-  double* d[2] = {p + l, p + 2 * l};
-  double* c_i[2] = {p + 3 * l, p + 4 * l};
   for (size_t k = 0; k < l; ++k) {
     const TripleEstimate& t = triples[k];
     peer[2 * k] = t.j1;
     peer[2 * k + 1] = t.j2;
     p[k] = t.p;
-    d[0][k] = t.d_i_j1;
-    d[1][k] = t.d_i_j2;
-    c_i[0][k] = static_cast<double>(overlap.CommonCount(i, t.j1));
-    c_i[1][k] = static_cast<double>(overlap.CommonCount(i, t.j2));
+    p[l + k] = t.d_i_j1;
+    p[2 * l + k] = t.d_i_j2;
+    p[3 * l + k] = static_cast<double>(overlap.CommonCount(i, t.j1));
+    p[4 * l + k] = static_cast<double>(overlap.CommonCount(i, t.j2));
   }
   std::vector<uint64_t> rows;
   const size_t words = overlap.SharedAttemptRows(i, peer, &rows);
@@ -168,17 +167,14 @@ Result<linalg::Matrix> CrossTripleCovarianceWith(
   const auto c_triple = std::make_unique_for_overwrite<uint32_t[]>(4 * l * l);
   util::AndPopcountPairs(rows.data(), 2 * l, words, c_triple.get());
 
-  CovarianceTerms terms;
-  terms.l = l;
-  terms.p = p;
-  terms.d[0] = d[0];
-  terms.d[1] = d[1];
-  terms.c_i[0] = c_i[0];
-  terms.c_i[1] = c_i[1];
-  terms.peer = peer.data();
-  terms.c_triple = c_triple.get();
-  terms.overlap = &overlap;
-  terms.q_min = 0.5 + options.min_agreement_margin;
+  const CovarianceTerms terms{.l = l,
+                              .p = p,
+                              .d = {p + l, p + 2 * l},
+                              .c_i = {p + 3 * l, p + 4 * l},
+                              .peer = peer.data(),
+                              .c_triple = c_triple.get(),
+                              .overlap = &overlap,
+                              .q_min = 0.5 + options.min_agreement_margin};
   linalg::Matrix cov(l, l);
   kernel(terms, cov.data());
   for (size_t k1 = 0; k1 < l; ++k1) {

@@ -103,7 +103,7 @@ Status OverlapIndex::ApplyResponse(WorkerId w, TaskId t,
         ++pair_agree_[idx];
         ++pair_agree_[idx_t];
       } else {
-        continue;
+        continue;  // Neither count changed, so neither did the rate.
       }
     }
     UpdateRate(w, v);

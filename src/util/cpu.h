@@ -22,7 +22,7 @@ namespace crowd::util {
 
 /// True when this build has AVX2 variants and the CPU supports AVX2.
 /// Always false off x86-64, where the AVX2 entry points compile for the
-/// baseline target and are only called by tests.
+/// baseline target and nothing calls them.
 inline bool CpuHasAvx2() {
 #ifdef CROWD_CPU_X86
   __builtin_cpu_init();
