@@ -284,8 +284,8 @@ TEST(DatasetIo, ShapeWhoseCellCountOverflowsIsAnError) {
 }
 
 TEST(DatasetIo, HugeWorkerIdIsAnErrorNotAnAllocation) {
-  // Sized from its largest id, this two-row file used to ask for a
-  // 4e9 x 1 matrix: 8 GB of cells.
+  // Sizing the matrix from its largest id would make this two-row file
+  // ask for a 4e9 x 1 matrix: 8 GB of cells.
   ExpectLoadIoError("worker,task,response\n0,0,1\n4000000000,0,1\n",
                     "row 2");
 }
