@@ -9,11 +9,16 @@
 //  - JsonEscape output never contains an unescaped control character
 //    or quote, so any parse error message embeds cleanly in the
 //    one-line JSON error reply.
+//  - The input's first 8 bytes, read as a double, serialize through
+//    JsonDouble to exactly the bytes of the printf %.17g reference
+//    (tests/json_reference.h), non-finite values as null.
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 
+#include "../tests/json_reference.h"
 #include "fuzz_util.h"
 #include "server/protocol.h"
 
@@ -71,5 +76,14 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   }
 
   CheckEscaped(crowd::server::JsonEscape(line));
+  FUZZ_ASSERT(crowd::server::JsonEscape(line) ==
+              crowd::ReferenceJsonEscape(line));
+
+  if (size >= sizeof(double)) {
+    double v = 0.0;
+    std::memcpy(&v, data, sizeof(v));
+    FUZZ_ASSERT(crowd::server::JsonDouble(v) ==
+                crowd::ReferenceJsonDouble(v));
+  }
   return 0;
 }

@@ -5,11 +5,12 @@ Each rule protects a cross-cutting contract of the crowdeval codebase;
 violating one compiles fine and may even pass tests, so the check has
 to live here, in CI, instead of in the type system:
 
-  float-format   In src/server/ every printf-style float conversion
-                 must be exactly %.17g. The daemon's JSON replies are
-                 compared bit-for-bit against batch output (tier-1
-                 determinism tests); any other precision silently
-                 breaks the round-trip guarantee.
+  float-format   No printf-style float conversion in src/server/,
+                 %.17g included. Every number in a reply goes through
+                 util/json.h (std::to_chars, the bytes of %.17g), the
+                 one writer whose output the daemon's byte-for-byte
+                 comparisons against batch output rely on; a second
+                 formatter could drift from it unseen.
   iostream       No std::cout / std::cerr in src/ library code. All
                  diagnostics go through CROWD_LOG_* (util/logging.h),
                  which emits complete lines with one write(2) and
@@ -122,18 +123,11 @@ FLOAT_FMT = re.compile(r"%[-+ #0]*\d*(?:\.\d+)?[aefgAEFG]")
 def rule_float_format(path, raw_lines, code_lines):
     if not path.startswith("src/server/"):
         return
-    for i, line in enumerate(code_lines):
-        for m in FLOAT_FMT.finditer(line):
-            if m.group(0) == "%.17g":
-                continue
-            if allowed(raw_lines[i], "float-format"):
-                continue
-            yield Violation(
-                path, i + 1, "float-format",
-                f"float conversion '{m.group(0)}' in the serving layer; "
-                "daemon output is compared bit-for-bit against batch "
-                "output, so doubles must be formatted with %.17g "
-                "(use JsonDouble from server/protocol.h)")
+    yield from match_lines(
+        path, raw_lines, code_lines, FLOAT_FMT, "float-format",
+        lambda m: f"float conversion '{m.group(0)}' in the serving "
+        "layer; write numbers with util/json.h (json::Append, "
+        "json::AppendChars), the one writer for every reply")
 
 
 IOSTREAM = re.compile(r"std::c(?:out|err)\b")

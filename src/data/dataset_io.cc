@@ -106,11 +106,14 @@ Result<Dataset> LoadDatasetCsv(const std::string& name,
     }
     num_workers = std::max(num_workers, row.worker + 1);
     num_tasks = std::max(num_tasks, row.task + 1);
-    // Dividing rules out a cell count that wraps around size_t.
-    if (num_workers > kMaxLoadCells / num_tasks) {
+    // Both the matrix and the overlap index's m x m pair tables are
+    // capped. Dividing rules out a cell count that wraps around size_t.
+    if (num_workers > kMaxLoadCells / num_tasks ||
+        num_workers > kMaxLoadCells / num_workers) {
       return Status::IoError(StrFormat(
-          "responses row %zu makes a %zu x %zu matrix, more than the "
-          "%zu cells a dataset may have",
+          "responses row %zu makes %zu workers x %zu tasks; the matrix or "
+          "the workers' pair table has more than the %zu cells a dataset "
+          "may have",
           i + 1, num_workers, num_tasks, kMaxLoadCells));
     }
     if (arity == 0 || options.arity == 0) {

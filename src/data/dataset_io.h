@@ -39,9 +39,10 @@ inline constexpr size_t kMaxLoadCells = size_t{1} << 28;
 /// \brief Loads a dataset; `gold_path` may be empty (no gold labels).
 /// Malformed rows, out-of-range labels and duplicate (worker, task)
 /// pairs with conflicting responses produce IoError. So does a row
-/// whose ids make the matrix larger than kMaxLoadCells, or whose task
-/// id is at or above OverlapIndex::kMaxTasks; both are checked row by
-/// row, before the matrix is allocated, and the error names the row.
+/// whose ids make the matrix, or the m x m pair table of its m workers,
+/// larger than kMaxLoadCells (above 16384 workers), or whose task id is
+/// at or above OverlapIndex::kMaxTasks; each is checked row by row,
+/// before anything is allocated, and the error names the row.
 Result<Dataset> LoadDatasetCsv(const std::string& name,
                                const std::string& responses_path,
                                const std::string& gold_path = "",

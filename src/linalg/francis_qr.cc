@@ -184,8 +184,8 @@ Result<std::vector<std::complex<double>>> HessenbergEigenvalues(
 
 Result<std::vector<std::complex<double>>> GeneralEigenvalues(
     const Matrix& a) {
-  CROWD_ASSIGN_OR_RETURN(auto hess, ReduceToHessenberg(a));
-  return HessenbergEigenvalues(std::move(hess.h));
+  CROWD_ASSIGN_OR_RETURN(Matrix h, ReduceToHessenberg(a));
+  return HessenbergEigenvalues(std::move(h));
 }
 
 }  // namespace crowd::linalg

@@ -4,15 +4,13 @@
 
 namespace crowd::linalg {
 
-Result<HessenbergForm> ReduceToHessenberg(const Matrix& a) {
+Result<Matrix> ReduceToHessenberg(const Matrix& a) {
   if (!a.IsSquare()) {
     return Status::Invalid("Hessenberg reduction requires a square matrix");
   }
   const size_t n = a.rows();
-  HessenbergForm out{a, Matrix::Identity(n)};
-  if (n < 3) return out;
-  Matrix& h = out.h;
-  Matrix& q = out.q;
+  Matrix h = a;
+  if (n < 3) return h;
   SmallBuffer<double> v(n);
 
   for (size_t k = 0; k + 2 < n; ++k) {
@@ -45,29 +43,11 @@ Result<HessenbergForm> ReduceToHessenberg(const Matrix& a) {
       dot *= beta;
       for (size_t j = k + 1; j < n; ++j) h(i, j) -= dot * v[j];
     }
-    // Q <- Q P (accumulate the similarity transform).
-    for (size_t i = 0; i < n; ++i) {
-      double dot = 0.0;
-      for (size_t j = k + 1; j < n; ++j) dot += q(i, j) * v[j];
-      dot *= beta;
-      for (size_t j = k + 1; j < n; ++j) q(i, j) -= dot * v[j];
-    }
     // Clean exact zeros below the subdiagonal in column k.
     h(k + 1, k) = alpha;
     for (size_t i = k + 2; i < n; ++i) h(i, k) = 0.0;
   }
-  return out;
-}
-
-bool IsUpperHessenberg(const Matrix& a, double tol) {
-  if (!a.IsSquare()) return false;
-  const double scale = std::max(1.0, a.MaxAbs());
-  for (size_t i = 2; i < a.rows(); ++i) {
-    for (size_t j = 0; j + 1 < i; ++j) {
-      if (std::fabs(a(i, j)) > tol * scale) return false;
-    }
-  }
-  return true;
+  return h;
 }
 
 }  // namespace crowd::linalg

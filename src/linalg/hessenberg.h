@@ -9,19 +9,10 @@
 
 namespace crowd::linalg {
 
-/// \brief A = Q H Q^T with H upper Hessenberg and Q orthogonal.
-struct HessenbergForm {
-  Matrix h;
-  Matrix q;
-};
-
-/// \brief Reduces `a` to Hessenberg form via Householder reflections,
-/// accumulating the orthogonal transform.
-Result<HessenbergForm> ReduceToHessenberg(const Matrix& a);
-
-/// \brief True when all entries below the first subdiagonal vanish
-/// (within `tol` relative to the matrix scale).
-bool IsUpperHessenberg(const Matrix& a, double tol = 1e-12);
+/// \brief Reduces `a` to the upper Hessenberg H of A = Q H Q^T via
+/// Householder reflections. Only the eigenvalues of H are needed, so
+/// the orthogonal Q is not formed.
+Result<Matrix> ReduceToHessenberg(const Matrix& a);
 
 }  // namespace crowd::linalg
 

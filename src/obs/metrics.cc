@@ -1,41 +1,22 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <utility>
 
-// util/mutex.h + util/thread_annotations.h are header-only and free of
-// crowd_* link dependencies, so including them here keeps crowd_obs
-// below crowd_util in the library order.
+// util/json.h, util/mutex.h and util/thread_annotations.h are
+// header-only and free of crowd_* link dependencies, so including them
+// here keeps crowd_obs below crowd_util in the library order.
+#include "util/json.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
 namespace crowd::obs {
 
 namespace {
-
-/// printf into std::string without pulling in crowd_util.
-template <typename... Args>
-std::string Format(const char* fmt, Args... args) {
-  char buffer[256];
-  int n = std::snprintf(buffer, sizeof(buffer), fmt, args...);
-  if (n < 0) return "";
-  if (static_cast<size_t>(n) < sizeof(buffer)) return std::string(buffer, n);
-  std::string out(static_cast<size_t>(n), '\0');
-  std::snprintf(out.data(), out.size() + 1, fmt, args...);
-  return out;
-}
-
-std::string FormatDouble(double v) {
-  if (v != v) return "NaN";
-  if (v == std::numeric_limits<double>::infinity()) return "+Inf";
-  if (v == -std::numeric_limits<double>::infinity()) return "-Inf";
-  return Format("%.17g", v);
-}
-
-/// Shortest %g rendering for bucket bounds (Prometheus "le" values).
-std::string FormatBound(double v) { return Format("%g", v); }
 
 [[noreturn]] void Die(const std::string& message) {
   std::fprintf(stderr, "[FATAL obs/metrics] %s\n", message.c_str());
@@ -236,44 +217,51 @@ std::string Registry::ExportPrometheus() const {
   util::MutexLock lock(impl_->mu);
   std::string out;
   for (const auto& [name, family] : impl_->families) {
-    out += "# HELP " + name + " " + family.help + "\n";
-    out += "# TYPE " + name + " " + std::string(KindName(family.kind)) +
-           "\n";
+    out.append("# HELP ").append(name).append(" ").append(family.help);
+    out.append("\n# TYPE ").append(name).append(" ").append(
+        KindName(family.kind)).append("\n");
     for (const auto& [labels, series] : family.series) {
-      const std::string suffix =
-          labels.empty() ? "" : "{" + labels + "}";
+      // `name<suffix>{labels} `, or `name<suffix> ` without labels.
+      const auto append_series = [&](const char* suffix) {
+        out.append(name).append(suffix);
+        if (!labels.empty()) out.append("{").append(labels).append("}");
+        out += ' ';
+      };
       switch (family.kind) {
         case MetricKind::kCounter:
-          out += name + suffix +
-                 Format(" %llu\n",
-                        static_cast<unsigned long long>(
-                            series.counter->Value()));
+          append_series("");
+          json::Append(&out, series.counter->Value(), "\n");
           break;
         case MetricKind::kGauge:
-          out += name + suffix +
-                 Format(" %lld\n",
-                        static_cast<long long>(series.gauge->Value()));
+          append_series("");
+          json::Append(&out, series.gauge->Value(), "\n");
           break;
         case MetricKind::kHistogram: {
           Histogram h = series.histogram->Snapshot();
           uint64_t cumulative = 0;
           for (size_t b = 0; b < h.num_buckets(); ++b) {
             cumulative += h.bucket_count(b);
-            const std::string le =
-                b < h.bounds().size() ? FormatBound(h.bounds()[b])
-                                      : std::string("+Inf");
-            const std::string bucket_labels =
-                labels.empty() ? "le=\"" + le + "\""
-                               : labels + ",le=\"" + le + "\"";
-            out += name + "_bucket{" + bucket_labels +
-                   Format("} %llu\n",
-                          static_cast<unsigned long long>(cumulative));
+            out.append(name).append("_bucket{");
+            if (!labels.empty()) out.append(labels).append(",");
+            out += "le=\"";
+            if (b < h.bounds().size()) {  // in the %g form
+              json::AppendChars(&out, h.bounds()[b],
+                                std::chars_format::general, 6);
+            } else {
+              out += "+Inf";
+            }
+            json::Append(&out, "\"} ", cumulative, "\n");
           }
-          out += name + "_sum" + suffix + " " + FormatDouble(h.sum()) +
-                 "\n";
-          out += name + "_count" + suffix +
-                 Format(" %llu\n",
-                        static_cast<unsigned long long>(h.count()));
+          append_series("_sum");
+          if (std::isfinite(h.sum())) {
+            json::Append(&out, h.sum(), "\n");
+          } else if (std::isnan(h.sum())) {  // in Prometheus spelling
+            out += "NaN\n";
+          } else {
+            out += h.sum() > 0 ? "+Inf\n" : "-Inf\n";
+          }
+          append_series("_count");
+          json::Append(&out, h.count(), "\n");
           break;
         }
       }
@@ -287,26 +275,30 @@ std::string Registry::SummaryTable() const {
   std::string out;
   for (const auto& [name, family] : impl_->families) {
     for (const auto& [labels, series] : family.series) {
-      const std::string id =
-          labels.empty() ? name : name + "{" + labels + "}";
+      // The series id, left-aligned in 64 columns.
+      const size_t start = out.size();
+      out += name;
+      if (!labels.empty()) out.append("{").append(labels).append("}");
+      out.append(64 - std::min<size_t>(out.size() - start, 64), ' ');
       switch (family.kind) {
         case MetricKind::kCounter:
-          out += Format("%-64s %llu\n", id.c_str(),
-                        static_cast<unsigned long long>(
-                            series.counter->Value()));
+          json::Append(&out, " ", series.counter->Value(), "\n");
           break;
         case MetricKind::kGauge:
-          out += Format("%-64s %lld\n", id.c_str(),
-                        static_cast<long long>(series.gauge->Value()));
+          json::Append(&out, " ", series.gauge->Value(), "\n");
           break;
         case MetricKind::kHistogram: {
           Histogram h = series.histogram->Snapshot();
-          out += Format(
-              "%-64s count %llu  mean %.6g  p50 %.6g  p90 %.6g  "
-              "p99 %.6g  max %.6g\n",
-              id.c_str(), static_cast<unsigned long long>(h.count()),
-              h.mean(), h.Quantile(0.5), h.Quantile(0.9),
-              h.Quantile(0.99), h.max());
+          json::Append(&out, " count ", h.count());
+          const std::pair<const char*, double> columns[] = {
+              {"  mean ", h.mean()},          {"  p50 ", h.Quantile(0.5)},
+              {"  p90 ", h.Quantile(0.9)},    {"  p99 ", h.Quantile(0.99)},
+              {"  max ", h.max()}};
+          for (const auto& [label, value] : columns) {
+            out += label;  // then value in the %g form
+            json::AppendChars(&out, value, std::chars_format::general, 6);
+          }
+          out += '\n';
           break;
         }
       }

@@ -6,6 +6,7 @@
 #include <vector>
 
 // Header-only, no crowd_* link dependency — safe below crowd_util.
+#include "util/json.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -157,19 +158,24 @@ std::string ChromeTraceJson() {
     for (SpanRing* ring : state.live) ring->SnapshotInto(&events);
     for (const auto& ring : state.retired) ring->SnapshotInto(&events);
   }
-  std::string out = "{\"traceEvents\":[";
-  char buffer[256];
-  for (size_t i = 0; i < events.size(); ++i) {
+  return ChromeTraceJson(events);
+}
+
+std::string ChromeTraceJson(const std::vector<TraceEvent>& events) {
+  std::string out = "{\"traceEvents\":";
+  json::AppendArray(&out, events.size(), [&](size_t i) {
     const TraceEvent& e = events[i];
-    std::snprintf(buffer, sizeof(buffer),
-                  "%s{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,"
-                  "\"tid\":%u,\"ts\":%.3f,\"dur\":%.3f}",
-                  i == 0 ? "" : ",", e.name, e.tid,
-                  static_cast<double>(e.start_ns) / 1e3,
-                  static_cast<double>(e.duration_ns) / 1e3);
-    out += buffer;
-  }
-  out += "]}";
+    // Chrome trace times are microseconds, printed to the nanosecond.
+    json::Append(&out, "{\"name\":", json::Quoted{e.name},
+                 ",\"ph\":\"X\",\"pid\":1,\"tid\":", e.tid, ",\"ts\":");
+    json::AppendChars(&out, static_cast<double>(e.start_ns) / 1e3,
+                      std::chars_format::fixed, 3);
+    out += ",\"dur\":";
+    json::AppendChars(&out, static_cast<double>(e.duration_ns) / 1e3,
+                      std::chars_format::fixed, 3);
+    out += '}';
+  });
+  out += '}';
   return out;
 }
 

@@ -21,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace crowd::obs {
 
@@ -46,6 +47,8 @@ bool TracingEnabled();
 /// \brief All captured events as a chrome://tracing JSON document
 /// ({"traceEvents":[...]}). Safe to call while tracing.
 std::string ChromeTraceJson();
+/// The same document for the given events.
+std::string ChromeTraceJson(const std::vector<TraceEvent>& events);
 
 /// \brief Writes ChromeTraceJson() to `path`; returns false (and
 /// keeps quiet) on I/O failure — the caller decides whether to log.

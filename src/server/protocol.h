@@ -17,8 +17,9 @@
 //
 // Every reply is exactly one JSON object on one line, `{"ok":true,...}`
 // on success and `{"ok":false,"code":...,"error":...}` on failure.
-// Doubles are serialized with enough digits (%.17g) to round-trip
-// bit-exactly, which is what lets tests compare daemon output against
+// util/json.h writes each reply into one buffer, doubles in the bytes
+// of printf's %.17g (std::to_chars), enough to round-trip bit-exactly
+// (non-finite ones are `null`), so tests compare daemon output against
 // a batch run for equality.
 //
 // METRICS is the one exception to one-line replies: it returns the
@@ -30,7 +31,6 @@
 
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/evaluator.h"
@@ -52,6 +52,10 @@ enum class CommandType {
   kQuit,
 };
 
+/// The number of CommandType values (kQuit is the last).
+inline constexpr size_t kNumCommandTypes =
+    static_cast<size_t>(CommandType::kQuit) + 1;
+
 /// \brief A parsed protocol command.
 struct Command {
   CommandType type = CommandType::kQuit;
@@ -59,6 +63,9 @@ struct Command {
   data::TaskId task = 0;
   data::Response value = 0;
 };
+
+/// The verb of `type` as a client sends it ("RESP", "EVAL_ALL", ...).
+const char* CommandName(CommandType type);
 
 /// \brief Parses one protocol line (without the trailing newline).
 Result<Command> ParseCommand(std::string_view line);
@@ -69,22 +76,10 @@ std::string JsonEscape(std::string_view text);
 /// A double as a JSON number that round-trips bit-exactly.
 std::string JsonDouble(double v);
 
-/// Appends the JSON array `[e(0),e(1),...,e(count-1)]` to `*out`, where
-/// `append_element(i)` appends element i to the same string. Every
-/// array in a reply is built this way, in place.
-template <typename AppendElement>
-void AppendJsonArray(std::string* out, size_t count,
-                     const AppendElement& append_element) {
-  *out += '[';
-  for (size_t i = 0; i < count; ++i) {
-    if (i > 0) *out += ',';
-    append_element(i);
-  }
-  *out += ']';
-}
-
 /// One worker assessment as a JSON object.
 std::string AssessmentJson(const core::WorkerAssessment& a);
+/// Appends AssessmentJson(a) to `*out`.
+void AppendAssessmentJson(std::string* out, const core::WorkerAssessment& a);
 
 /// One per-worker failure as a JSON object.
 std::string FailureJson(data::WorkerId worker, const Status& status);
@@ -92,6 +87,9 @@ std::string FailureJson(data::WorkerId worker, const Status& status);
 /// `"assessments":[...],"failures":[...]` — the shared body of the
 /// daemon's EVAL_ALL reply and the CLI's evaluate --format=json output.
 std::string MWorkerResultBodyJson(const core::MWorkerResult& result);
+/// Appends MWorkerResultBodyJson(result) to `*out`.
+void AppendMWorkerResultBodyJson(std::string* out,
+                                 const core::MWorkerResult& result);
 
 /// The CLI evaluate --format=json document (assessments, failures and
 /// removed spammers of a CrowdEvaluator::BinaryReport).

@@ -6,6 +6,7 @@
 
 #include "obs/trace.h"
 #include "server/snapshot.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
@@ -40,8 +41,6 @@ Service::Service(ServiceOptions options) : options_(std::move(options)) {
                           "worker assessments recomputed");
   counters_.eval_all_runs = metrics_.GetCounter(
       "crowdeval_server_eval_all_runs_total", "EVAL_ALL commands run");
-  counters_.eval_command_seconds = CommandSeconds("EVAL");
-  counters_.eval_all_command_seconds = CommandSeconds("EVAL_ALL");
   counters_.snapshots_written =
       metrics_.GetCounter("crowdeval_server_snapshots_written_total",
                           "snapshots written by this service");
@@ -60,6 +59,12 @@ Service::Service(ServiceOptions options) : options_(std::move(options)) {
   counters_.snapshot_seq =
       metrics_.GetGauge("crowdeval_server_snapshot_seq",
                         "sequence covered by the latest snapshot");
+  for (size_t i = 0; i < kNumCommandTypes; ++i) {
+    counters_.command_seconds[i] = metrics_.GetHistogram(
+        "crowdeval_server_command_seconds",
+        "wall time of one protocol command", obs::Histogram::LatencyBounds(),
+        "command", CommandName(static_cast<CommandType>(i)));
+  }
 }
 
 Result<std::unique_ptr<Service>> Service::Open(ServiceOptions options) {
@@ -386,136 +391,97 @@ size_t Service::num_tasks() const {
   return NumTasksLocked();
 }
 
-namespace {
-
-const char* CommandName(CommandType type) {
-  switch (type) {
-    case CommandType::kResp:
-      return "RESP";
-    case CommandType::kEval:
-      return "EVAL";
-    case CommandType::kEvalAll:
-      return "EVAL_ALL";
-    case CommandType::kSpammers:
-      return "SPAMMERS";
-    case CommandType::kStats:
-      return "STATS";
-    case CommandType::kMetrics:
-      return "METRICS";
-    case CommandType::kSnapshot:
-      return "SNAPSHOT";
-    case CommandType::kQuit:
-      return "QUIT";
-  }
-  return "UNKNOWN";
-}
-
-}  // namespace
-
-obs::HistogramMetric* Service::CommandSeconds(std::string_view verb) {
-  // One labeled series per verb; GetHistogram returns the existing
-  // series after the first call, so the per-command cost is one map
-  // lookup under the registry mutex — negligible next to command work.
-  return metrics_.GetHistogram("crowdeval_server_command_seconds",
-                               "wall time of one protocol command",
-                               obs::Histogram::LatencyBounds(), "command",
-                               std::string(verb));
-}
-
 std::string Service::ExecuteLine(std::string_view line, bool* quit) {
   if (quit != nullptr) *quit = false;
   Result<Command> cmd = ParseCommand(line);
   if (!cmd.ok()) return ErrorJson(cmd.status());
   Stopwatch timer;
   std::string reply = HandleCommand(*cmd, quit);
-  CommandSeconds(CommandName(cmd->type))->Record(timer.ElapsedSeconds());
+  counters_.command_seconds[static_cast<size_t>(cmd->type)]->Record(
+      timer.ElapsedSeconds());
   return reply;
 }
 
 std::string Service::HandleCommand(const Command& cmd, bool* quit) {
+  std::string out;
   switch (cmd.type) {
     case CommandType::kResp: {
       uint64_t seq = 0;
       Status st = Ingest(cmd.worker, cmd.task, cmd.value, &seq);
       if (!st.ok()) return ErrorJson(st);
-      return StrFormat("{\"ok\":true,\"seq\":%llu}",
-                       static_cast<unsigned long long>(seq));
+      json::Append(&out, "{\"ok\":true,\"seq\":", seq, "}");
+      return out;
     }
     case CommandType::kEval: {
       Result<core::WorkerAssessment> result = Evaluate(cmd.worker);
       if (!result.ok()) return ErrorJson(result.status());
-      return "{\"ok\":true,\"assessment\":" + AssessmentJson(*result) +
-             "}";
+      out = "{\"ok\":true,\"assessment\":";
+      AppendAssessmentJson(&out, *result);
+      out += '}';
+      return out;
     }
     case CommandType::kEvalAll: {
       core::MWorkerResult result = EvaluateAll();
-      return "{\"ok\":true," + MWorkerResultBodyJson(result) + "}";
+      out = "{\"ok\":true,";
+      AppendMWorkerResultBodyJson(&out, result);
+      out += '}';
+      return out;
     }
     case CommandType::kSpammers: {
       util::MutexLock lock(mu_);
       auto filtered = core::FilterSpammers(evaluator_->responses(),
                                            options_.spammer);
       if (!filtered.ok()) return ErrorJson(filtered.status());
-      std::string out =
-          StrFormat("{\"ok\":true,\"threshold\":%s,\"spammers\":",
-                    JsonDouble(options_.spammer.threshold).c_str());
-      AppendJsonArray(&out, filtered->removed.size(), [&](size_t i) {
+      json::Append(&out, "{\"ok\":true,\"threshold\":",
+                   options_.spammer.threshold, ",\"spammers\":");
+      json::AppendArray(&out, filtered->removed.size(), [&](size_t i) {
         const data::WorkerId w = filtered->removed[i];
-        out += StrFormat("{\"worker\":%zu,\"proxy_error\":%s}", w,
-                         JsonDouble(filtered->proxy_error[w]).c_str());
+        json::Append(&out, "{\"worker\":", w, ",\"proxy_error\":",
+                     filtered->proxy_error[w], "}");
       });
       out += '}';
       return out;
     }
     case CommandType::kStats: {
+      const auto& seconds = counters_.command_seconds;
       const double eval_micros_total =
-          (counters_.eval_command_seconds->Snapshot().sum() +
-           counters_.eval_all_command_seconds->Snapshot().sum()) *
+          (seconds[static_cast<size_t>(CommandType::kEval)]->Snapshot().sum() +
+           seconds[static_cast<size_t>(CommandType::kEvalAll)]
+               ->Snapshot()
+               .sum()) *
           1e6;
       util::MutexLock lock(mu_);
-      return StrFormat(
-          "{\"ok\":true,\"stats\":{"
-          "\"num_workers\":%zu,\"num_tasks\":%zu,"
-          "\"total_responses\":%zu,\"last_seq\":%llu,"
-          "\"dirty_workers\":%zu,"
-          "\"responses_ingested\":%llu,\"responses_noop\":%llu,"
-          "\"responses_rejected\":%llu,"
-          "\"eval_cache_hits\":%llu,\"eval_cache_misses\":%llu,"
-          "\"eval_all_runs\":%llu,\"eval_micros_total\":%s,"
-          "\"journal_bytes\":%lld,\"journal_records\":%lld,"
-          "\"snapshots_written\":%llu,\"snapshot_seq\":%lld,"
-          "\"recovered_records\":%llu,"
-          "\"recovery_truncated_bytes\":%llu}}",
-          NumWorkersLocked(), NumTasksLocked(),
-          evaluator_->TotalResponses(),
-          static_cast<unsigned long long>(last_seq_),
-          evaluator_->DirtyWorkerCount(),
-          static_cast<unsigned long long>(counters_.ingested->Value()),
-          static_cast<unsigned long long>(counters_.noop->Value()),
-          static_cast<unsigned long long>(counters_.rejected->Value()),
-          static_cast<unsigned long long>(counters_.cache_hits->Value()),
-          static_cast<unsigned long long>(counters_.cache_misses->Value()),
-          static_cast<unsigned long long>(counters_.eval_all_runs->Value()),
-          JsonDouble(eval_micros_total).c_str(),
-          static_cast<long long>(counters_.journal_bytes->Value()),
-          static_cast<long long>(counters_.journal_records->Value()),
-          static_cast<unsigned long long>(
-              counters_.snapshots_written->Value()),
-          static_cast<long long>(counters_.snapshot_seq->Value()),
-          static_cast<unsigned long long>(
-              counters_.recovered_records->Value()),
-          static_cast<unsigned long long>(
-              counters_.recovery_truncated_bytes->Value()));
+      json::Append(
+          &out, "{\"ok\":true,\"stats\":{\"num_workers\":",
+          NumWorkersLocked(), ",\"num_tasks\":", NumTasksLocked(),
+          ",\"total_responses\":", evaluator_->TotalResponses(),
+          ",\"last_seq\":", last_seq_,
+          ",\"dirty_workers\":", evaluator_->DirtyWorkerCount(),
+          ",\"responses_ingested\":", counters_.ingested->Value(),
+          ",\"responses_noop\":", counters_.noop->Value(),
+          ",\"responses_rejected\":", counters_.rejected->Value(),
+          ",\"eval_cache_hits\":", counters_.cache_hits->Value(),
+          ",\"eval_cache_misses\":", counters_.cache_misses->Value(),
+          ",\"eval_all_runs\":", counters_.eval_all_runs->Value(),
+          ",\"eval_micros_total\":", eval_micros_total,
+          ",\"journal_bytes\":", counters_.journal_bytes->Value(),
+          ",\"journal_records\":", counters_.journal_records->Value(),
+          ",\"snapshots_written\":", counters_.snapshots_written->Value(),
+          ",\"snapshot_seq\":", counters_.snapshot_seq->Value(),
+          ",\"recovered_records\":", counters_.recovered_records->Value(),
+          ",\"recovery_truncated_bytes\":",
+          counters_.recovery_truncated_bytes->Value(), "}}");
+      return out;
     }
     case CommandType::kMetrics:
       return MetricsExposition();
     case CommandType::kSnapshot: {
       Result<uint64_t> seq = TakeSnapshot();
       if (!seq.ok()) return ErrorJson(seq.status());
-      return StrFormat(
-          "{\"ok\":true,\"snapshot_seq\":%llu,\"journal_bytes\":%lld}",
-          static_cast<unsigned long long>(*seq),
-          static_cast<long long>(counters_.journal_bytes->Value()));
+      json::Append(&out, "{\"ok\":true,\"snapshot_seq\":", *seq,
+                   ",\"journal_bytes\":", counters_.journal_bytes->Value(),
+                   "}");
+      return out;
     }
     case CommandType::kQuit:
       if (quit != nullptr) *quit = true;

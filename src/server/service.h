@@ -41,6 +41,7 @@
 #ifndef CROWD_SERVER_SERVICE_H_
 #define CROWD_SERVER_SERVICE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -144,16 +145,15 @@ class Service {
     obs::Counter* cache_hits;
     obs::Counter* cache_misses;
     obs::Counter* eval_all_runs;
-    /// The EVAL and EVAL_ALL series of crowdeval_server_command_seconds;
-    /// STATS reports their summed time as eval_micros_total.
-    obs::HistogramMetric* eval_command_seconds;
-    obs::HistogramMetric* eval_all_command_seconds;
     obs::Counter* snapshots_written;
     obs::Counter* recovered_records;
     obs::Counter* recovery_truncated_bytes;
     obs::Gauge* journal_bytes;
     obs::Gauge* journal_records;
     obs::Gauge* snapshot_seq;
+    /// crowdeval_server_command_seconds by CommandType; STATS reports
+    /// EVAL's and EVAL_ALL's summed time as eval_micros_total.
+    std::array<obs::HistogramMetric*, kNumCommandTypes> command_seconds;
   };
 
   explicit Service(ServiceOptions options);
@@ -164,8 +164,6 @@ class Service {
   Result<uint64_t> TakeSnapshotLocked() CROWD_REQUIRES(mu_);
   size_t NumWorkersLocked() const CROWD_REQUIRES(mu_);
   size_t NumTasksLocked() const CROWD_REQUIRES(mu_);
-  /// The per-command latency series of `verb`.
-  obs::HistogramMetric* CommandSeconds(std::string_view verb);
 
   ServiceOptions options_;
   obs::Registry metrics_;

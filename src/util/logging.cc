@@ -4,9 +4,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+
+#include "util/json.h"
 
 namespace crowd {
 
@@ -56,37 +57,6 @@ const char* LevelName(LogLevel level) {
   return "?";
 }
 
-void AppendJsonEscaped(const std::string& in, std::string* out) {
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                        static_cast<unsigned>(c) & 0xff);
-          *out += buffer;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-}
-
 const char* Basename(const char* file) {
   const char* base = std::strrchr(file, '/');
   return base ? base + 1 : file;
@@ -134,28 +104,18 @@ std::string FormatLogLine(LogFormat format, LogLevel level,
                           const char* file, int line,
                           const std::string& message, double ts_seconds) {
   std::string out;
-  char buffer[64];
   if (format == LogFormat::kJson) {
     out += "{\"ts\":";
-    std::snprintf(buffer, sizeof(buffer), "%.6f", ts_seconds);
-    out += buffer;
-    out += ",\"level\":\"";
-    out += LevelName(level);
+    json::AppendChars(&out, ts_seconds, std::chars_format::fixed, 6);
+    out.append(",\"level\":\"").append(LevelName(level));
     out += "\",\"src\":\"";
-    std::snprintf(buffer, sizeof(buffer), "%s:%d", Basename(file), line);
-    AppendJsonEscaped(buffer, &out);
-    out += "\",\"msg\":\"";
-    AppendJsonEscaped(message, &out);
-    out += "\"}\n";
+    json::AppendEscaped(&out, Basename(file));
+    json::Append(&out, ":", line, "\",\"msg\":", json::Quoted{message},
+                 "}\n");
   } else {
-    out += "[";
-    out += LevelName(level);
-    out += " ";
-    std::snprintf(buffer, sizeof(buffer), "%s:%d", Basename(file), line);
-    out += buffer;
-    out += "] ";
-    out += message;
-    out += "\n";
+    out.append("[").append(LevelName(level)).append(" ").append(Basename(file));
+    json::Append(&out, ":", line, "] ");
+    out.append(message).append("\n");
   }
   return out;
 }

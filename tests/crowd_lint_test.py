@@ -32,9 +32,14 @@ class FloatFormatRule(unittest.TestCase):
                          'out += Format("%g", v);\n'),
             ["float-format"])
 
-    def test_allows_17g_and_integer_formats(self):
-        text = ('auto a = StrFormat("%.17g", v);\n'
-                'auto b = StrFormat("%llu %zu %s %d", x, y, z, w);\n')
+    def test_fires_on_17g_too(self):
+        text = 'auto a = StrFormat("%.17g", v);\n'
+        violations = crowd_lint.lint_text("src/server/protocol.cc", text)
+        self.assertEqual([v.rule for v in violations], ["float-format"])
+        self.assertIn("util/json.h", violations[0].message)
+
+    def test_allows_integer_formats(self):
+        text = 'auto b = StrFormat("%llu %zu %s %d", x, y, z, w);\n'
         self.assertEqual(rules_firing("src/server/protocol.cc", text), [])
 
     def test_out_of_scope_outside_server(self):

@@ -306,6 +306,16 @@ TEST(DatasetIo, ShapeAboveTheCellCapIsAnError) {
   EXPECT_EQ(loaded->responses().num_workers(), 16384u);
 }
 
+TEST(DatasetIo, WorkerCountPastThePairTableCapIsAnError) {
+  // 100001 x 1 cells pass the cell cap, but the overlap index's
+  // 100001 x 100001 pair tables (160 GB) do not; building them threw
+  // std::bad_alloc.
+  ExpectLoadIoError("worker,task,response\n0,0,1\n100000,0,1\n",
+                    "responses row 2 makes 100001 workers x 1 tasks");
+  // 16384 workers is the most whose pair table fits kMaxLoadCells.
+  ExpectLoadIoError("worker,task,response\n0,0,1\n16384,0,1\n", "row 2");
+}
+
 TEST(DatasetIo, TaskIdPastTheCountWidthIsAnError) {
   // Pair counts are uint32_t, so a task id must stay below
   // OverlapIndex::kMaxTasks = 2^32 - 1; this is checked before the cell

@@ -7,7 +7,8 @@
 // floating-point operations in the same order as the library, so the
 // two agree exactly when no multiply-add is contracted into an FMA (the
 // build passes -ffp-contract=off). Failures carry the library's status
-// codes and messages.
+// codes and messages. IsUpperHessenberg, the shape check, lives here
+// too: no library code needs it.
 
 #ifndef CROWD_TESTS_LINALG_REFERENCE_H_
 #define CROWD_TESTS_LINALG_REFERENCE_H_
@@ -131,6 +132,19 @@ inline Matrix ReferenceLuSolve(const ReferenceLu& f, const Matrix& b) {
 inline Result<Matrix> ReferenceInverse(const Matrix& a) {
   CROWD_ASSIGN_OR_RETURN(ReferenceLu f, ReferenceLuCompute(a));
   return ReferenceLuSolve(f, Matrix::Identity(a.rows()));
+}
+
+/// True when all entries below the first subdiagonal vanish (within
+/// `tol` relative to the matrix scale).
+inline bool IsUpperHessenberg(const Matrix& a, double tol = 1e-12) {
+  if (!a.IsSquare()) return false;
+  const double scale = std::max(1.0, a.MaxAbs());
+  for (size_t i = 2; i < a.rows(); ++i) {
+    for (size_t j = 0; j + 1 < i; ++j) {
+      if (std::fabs(a(i, j)) > tol * scale) return false;
+    }
+  }
+  return true;
 }
 
 /// H and the accumulated Q of A = Q H Q^T.

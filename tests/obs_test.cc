@@ -3,18 +3,23 @@
 // behavior including exact multi-threaded aggregation, Prometheus
 // export format, the summary table, the instrumentation gate, and the
 // span tracer's ring-buffer bounds. The multi-threaded cases double as
-// the TSan exercise for the sharded hot paths.
+// the TSan exercise for the sharded hot paths. The exposition and the
+// chrome trace are also compared byte for byte with the printf forms
+// kept in tests/json_reference.h.
 
 #include <algorithm>
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "json_reference.h"
 #include "obs/histogram.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rng/random.h"
 
 namespace crowd::obs {
 namespace {
@@ -272,6 +277,85 @@ TEST(RegistryTest, LabeledSeriesRenderAndStayDistinct) {
             std::string::npos);
 }
 
+// The per-bucket counts of `h`, the overflow bucket last.
+std::vector<uint64_t> BucketCounts(const HistogramMetric& h) {
+  Histogram snapshot = h.Snapshot();
+  std::vector<uint64_t> counts;
+  for (size_t b = 0; b < snapshot.num_buckets(); ++b) {
+    counts.push_back(snapshot.bucket_count(b));
+  }
+  return counts;
+}
+
+TEST(RegistryTest, PrometheusExportMatchesReference) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  Registry registry;
+  registry.GetCounter("crowdeval_test_a_total", "a counter")
+      ->Increment(18446744073709551615u);
+  registry.GetGauge("crowdeval_test_b_bytes", "a gauge")->Set(-42);
+  HistogramMetric* eval = registry.GetHistogram(
+      "crowdeval_test_c_seconds", "a histogram",
+      Histogram::LatencyBounds(), "command", "EVAL");
+  HistogramMetric* resp = registry.GetHistogram(
+      "crowdeval_test_c_seconds", "a histogram",
+      Histogram::LatencyBounds(), "command", "RESP");
+  for (double v : {1.5e-7, 3.3e-5, 0.1, 0.2, 7.0, 1e9}) eval->Record(v);
+  // A never-recorded series: every bucket 0, sum 0.
+  (void)resp;
+  // Non-finite sums keep their Prometheus spelling.
+  // Bounds with more than six significant digits, rounded by %g.
+  const std::vector<double> bounds = {1.23456789e-7, 1.0 / 3.0, 2.0 / 3.0,
+                                      1.0, 98765.4321};
+  HistogramMetric* nan_sum =
+      registry.GetHistogram("crowdeval_test_d_nan", "nan sum", bounds);
+  nan_sum->Record(0.5);
+  nan_sum->Record(std::numeric_limits<double>::quiet_NaN());
+  HistogramMetric* inf_sum =
+      registry.GetHistogram("crowdeval_test_e_inf", "inf sum", bounds);
+  inf_sum->Record(kInf);
+  HistogramMetric* neg_inf_sum =
+      registry.GetHistogram("crowdeval_test_f_neg_inf", "-inf sum", bounds);
+  neg_inf_sum->Record(-kInf);
+  neg_inf_sum->Record(2.0);
+
+  const auto header = [](const std::string& name, const std::string& help,
+                         const std::string& kind) {
+    return "# HELP " + name + " " + help + "\n# TYPE " + name + " " + kind +
+           "\n";
+  };
+  std::string want =
+      header("crowdeval_test_a_total", "a counter", "counter") +
+      "crowdeval_test_a_total 18446744073709551615\n" +
+      header("crowdeval_test_b_bytes", "a gauge", "gauge") +
+      "crowdeval_test_b_bytes -42\n" +
+      header("crowdeval_test_c_seconds", "a histogram", "histogram");
+  // Series are ordered by their rendered labels: EVAL before RESP.
+  want += ReferenceHistogramSeries(
+      "crowdeval_test_c_seconds", "command=\"EVAL\"",
+      Histogram::LatencyBounds(), BucketCounts(*eval),
+      eval->Snapshot().sum());
+  want += ReferenceHistogramSeries(
+      "crowdeval_test_c_seconds", "command=\"RESP\"",
+      Histogram::LatencyBounds(), BucketCounts(*resp), 0.0);
+  want += header("crowdeval_test_d_nan", "nan sum", "histogram");
+  want += ReferenceHistogramSeries("crowdeval_test_d_nan", "", bounds,
+                                   BucketCounts(*nan_sum),
+                                   nan_sum->Snapshot().sum());
+  want += header("crowdeval_test_e_inf", "inf sum", "histogram");
+  want += ReferenceHistogramSeries("crowdeval_test_e_inf", "", bounds,
+                                   BucketCounts(*inf_sum), kInf);
+  want += header("crowdeval_test_f_neg_inf", "-inf sum", "histogram");
+  want += ReferenceHistogramSeries("crowdeval_test_f_neg_inf", "", bounds,
+                                   BucketCounts(*neg_inf_sum), -kInf);
+
+  const std::string got = registry.ExportPrometheus();
+  EXPECT_EQ(got, want);
+  EXPECT_NE(got.find("crowdeval_test_d_nan_sum NaN\n"), std::string::npos);
+  EXPECT_NE(got.find("crowdeval_test_e_inf_sum +Inf\n"), std::string::npos);
+  EXPECT_NE(got.find("crowdeval_test_f_neg_inf_sum -Inf\n"),
+            std::string::npos);
+}
+
 TEST(RegistryTest, SummaryTableListsEverything) {
   Registry registry;
   registry.GetCounter("crowdeval_test_x_total", "t")->Increment(9);
@@ -283,6 +367,38 @@ TEST(RegistryTest, SummaryTableListsEverything) {
   EXPECT_NE(table.find("9"), std::string::npos);
   EXPECT_NE(table.find("crowdeval_test_y_seconds"), std::string::npos);
   EXPECT_NE(table.find("p99"), std::string::npos);
+}
+
+TEST(RegistryTest, SummaryTableMatchesReference) {
+  Registry registry;
+  registry.GetCounter("crowdeval_test_x_total", "t")->Increment(9);
+  registry.GetGauge("crowdeval_test_w_depth", "t", "queue", "a")->Set(-3);
+  HistogramMetric* h = registry.GetHistogram(
+      "crowdeval_test_y_seconds", "t", Histogram::LatencyBounds(), "command",
+      std::string(70, 'L'));  // an id wider than the 64-column field
+  for (double v : {1e-3, 2.5e-6, 0.75, 12.0}) h->Record(v);
+  registry.GetHistogram("crowdeval_test_z_seconds", "t",
+                        Histogram::LatencyBounds());  // empty
+
+  std::string want;
+  want += ReferenceFormat("%-64s %lld\n",
+                          "crowdeval_test_w_depth{queue=\"a\"}", -3LL);
+  want += ReferenceFormat("%-64s %llu\n", "crowdeval_test_x_total", 9ULL);
+  std::string wide_id = "crowdeval_test_y_seconds{command=\"";
+  wide_id.append(70, 'L').append("\"}");
+  for (const auto& [id, metric] :
+       {std::pair<std::string, HistogramMetric*>{wide_id, h},
+        {"crowdeval_test_z_seconds",
+         registry.GetHistogram("crowdeval_test_z_seconds", "t", {})}}) {
+    const Histogram snap = metric->Snapshot();
+    want += ReferenceFormat(
+        "%-64s count %llu  mean %.6g  p50 %.6g  p90 %.6g  p99 %.6g  "
+        "max %.6g\n",
+        id.c_str(), static_cast<unsigned long long>(snap.count()),
+        snap.mean(), snap.Quantile(0.5), snap.Quantile(0.9),
+        snap.Quantile(0.99), snap.max());
+  }
+  EXPECT_EQ(registry.SummaryTable(), want);
 }
 
 // ---- The instrumentation gate ---------------------------------------
@@ -386,6 +502,35 @@ TEST(TraceTest, ThreadsGetDistinctTidsAndSurviveExit) {
   // still exported.
   EXPECT_NE(json.find("test.worker_thread"), std::string::npos) << json;
   EXPECT_NE(json.find("test.main_thread"), std::string::npos) << json;
+}
+
+TEST(TraceTest, ChromeTraceJsonMatchesReference) {
+  // Times from 0 to ~2^64 ns, with the ties and carries of %.3f.
+  std::vector<TraceEvent> events;
+  const uint64_t starts[] = {0,    1,    499,  500,  999,  1000,
+                             1499, 1500, 123456789012345,
+                             18446744073709551615u};
+  uint32_t tid = 0;
+  for (uint64_t start : starts) {
+    TraceEvent e;
+    e.name = "test.reference";
+    e.start_ns = start;
+    e.duration_ns = start / 7 + tid;
+    e.tid = tid++;
+    events.push_back(e);
+  }
+  Random rng(1411);
+  for (int i = 0; i < 5000; ++i) {
+    TraceEvent e;
+    e.name = "test.random";
+    // Up to ~10 days of trace clock, the span a fraction of it.
+    e.start_ns = rng.UniformInt(uint64_t{1} << 50);
+    e.duration_ns = rng.UniformInt(e.start_ns + 1);
+    e.tid = static_cast<uint32_t>(rng.UniformInt(64));
+    events.push_back(e);
+  }
+  EXPECT_EQ(ChromeTraceJson(events), ReferenceChromeTraceJson(events));
+  EXPECT_EQ(ChromeTraceJson({}), "{\"traceEvents\":[]}");
 }
 
 }  // namespace

@@ -1,12 +1,19 @@
 // Tests for the crowdevald wire protocol: command parsing and the JSON
-// serializers shared by the daemon and the CLI's --format=json mode.
+// serializers shared by the daemon and the CLI's --format=json mode,
+// whose whole replies are compared byte for byte with the printf
+// serializers kept in tests/json_reference.h.
 
 #include "server/protocol.h"
 
 #include <cstdlib>
 #include <limits>
 
+#include "core/evaluator.h"
+#include "core/m_worker.h"
 #include "gtest/gtest.h"
+#include "json_reference.h"
+#include "rng/random.h"
+#include "sim/simulator.h"
 #include "util/status.h"
 
 namespace crowd::server {
@@ -151,6 +158,122 @@ TEST(SerializerTest, MWorkerResultBodyJson) {
   EXPECT_EQ(body.find("\"assessments\":[{"), 0u);
   EXPECT_NE(body.find("\"failures\":[{\"worker\":1,"), std::string::npos);
   EXPECT_NE(body.find("no triple"), std::string::npos);
+}
+
+// ---- Whole replies against the printf oracle -------------------------
+
+// A binary crowd with a few coin-flipping spammers and one worker who
+// answered nothing (an evaluation failure).
+sim::BinarySimOutput SimulatedCrowd(uint64_t seed) {
+  Random rng(seed);
+  sim::BinarySimConfig config;
+  config.num_workers = 14;
+  config.num_tasks = 240;
+  config.pool.error_rates = {0.05, 0.15, 0.3};
+  config.pool.spammer_fraction = 0.2;
+  config.assignment = sim::AssignmentConfig::Iid(0.6);
+  sim::BinarySimOutput sim = sim::SimulateBinary(config, &rng);
+  for (data::TaskId t = 0; t < config.num_tasks; ++t) {
+    sim.dataset.mutable_responses()->Clear(config.num_workers - 1, t);
+  }
+  return sim;
+}
+
+TEST(JsonOracle, EvalAllBodiesAndAssessmentsFromSimulatedCrowds) {
+  size_t assessments = 0, failures = 0;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    const sim::BinarySimOutput sim = SimulatedCrowd(seed);
+    auto result =
+        core::MWorkerEvaluate(sim.dataset.responses(), core::BinaryOptions{});
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(MWorkerResultBodyJson(*result),
+              ReferenceMWorkerResultBodyJson(*result))
+        << "seed " << seed;
+    std::string appended = "x";
+    AppendMWorkerResultBodyJson(&appended, *result);
+    std::string want = "x";
+    want += ReferenceMWorkerResultBodyJson(*result);
+    EXPECT_EQ(appended, want);
+    for (const core::WorkerAssessment& a : result->assessments) {
+      EXPECT_EQ(AssessmentJson(a), ReferenceAssessmentJson(a));
+    }
+    assessments += result->assessments.size();
+    failures += result->failures.size();
+  }
+  EXPECT_GT(assessments, 0u);
+  EXPECT_GT(failures, 0u);
+}
+
+TEST(JsonOracle, AssessmentWithExtremeAndNonFiniteFields) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double values[] = {0.0,  -0.0, 5e-324, 1.7976931348623157e308,
+                           1e21, 1e-7, 0.5,    std::nan(""),
+                           kInf, -kInf};
+  for (double v : values) {
+    core::WorkerAssessment a;
+    a.worker = std::numeric_limits<data::WorkerId>::max();
+    a.error_rate = v;
+    a.deviation = -v;
+    a.interval = {v, 1.0 - v, 0.95};
+    a.num_triples = 1u << 31;
+    a.any_clamped = v < 0.5;
+    EXPECT_EQ(AssessmentJson(a), ReferenceAssessmentJson(a));
+  }
+}
+
+TEST(JsonOracle, BinaryReportWithRemovedSpammers) {
+  size_t removed = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const sim::BinarySimOutput sim = SimulatedCrowd(seed);
+    core::CrowdEvaluator::Config config;
+    config.prefilter_spammers = true;
+    auto report =
+        core::CrowdEvaluator(config).EvaluateBinary(sim.dataset.responses());
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(BinaryReportJson(*report), ReferenceBinaryReportJson(*report));
+    removed += report->removed_spammers.size();
+  }
+  EXPECT_GT(removed, 0u);
+}
+
+TEST(JsonOracle, KaryResultFromSimulatedCrowds) {
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    Random rng(seed);
+    sim::KarySimConfig config;
+    config.arity = 3;
+    config.num_tasks = 600;
+    auto sim = sim::SimulateKary(config, &rng);
+    ASSERT_TRUE(sim.ok()) << sim.status();
+    auto result = core::CrowdEvaluator().EvaluateKaryTriple(
+        sim->dataset.responses(), 0, 1, 2);
+    ASSERT_TRUE(result.ok()) << result.status();
+    // Named workers, and too few names (the index stands in).
+    for (const std::vector<data::WorkerId>& names :
+         {std::vector<data::WorkerId>{17, 4, 2024},
+          std::vector<data::WorkerId>{9}}) {
+      EXPECT_EQ(KaryResultJson(*result, names),
+                ReferenceKaryResultJson(*result, names));
+    }
+  }
+}
+
+TEST(JsonOracle, ErrorAndFailureWithControlCharacters) {
+  std::string message;
+  for (int c = 1; c < 256; ++c) message.push_back(static_cast<char>(c));
+  message += std::string("\0nul", 4);
+  const Status statuses[] = {
+      Status::Invalid(message),
+      Status::InsufficientData("tab\there \"quoted\" back\\slash"),
+      Status::NumericalError("\x1f\x7f\r\n"),
+      Status::IoError(""),
+      Status::Internal("plain"),
+      Status::NotFound("worker 3"),
+  };
+  for (const Status& st : statuses) {
+    EXPECT_EQ(ErrorJson(st), ReferenceErrorJson(st));
+    EXPECT_EQ(FailureJson(41, st), ReferenceFailureJson(41, st));
+    EXPECT_EQ(JsonEscape(st.message()), ReferenceJsonEscape(st.message()));
+  }
 }
 
 }  // namespace

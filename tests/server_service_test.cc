@@ -13,7 +13,9 @@
 #include <vector>
 
 #include "core/m_worker.h"
+#include "core/spammer_filter.h"
 #include "gtest/gtest.h"
+#include "json_reference.h"
 #include "rng/random.h"
 #include "server/protocol.h"
 #include "stats_reply.h"
@@ -309,6 +311,19 @@ TEST(ServiceTest, MetricsCommandExportsPrometheus) {
       << text;
 }
 
+TEST(ServiceTest, MetricsListsEveryVerbFromTheStart) {
+  auto service = OpenInMemory(3, 3);
+  const std::string text = service->MetricsExposition();
+  for (const char* verb : {"RESP", "EVAL", "EVAL_ALL", "SPAMMERS", "STATS",
+                           "METRICS", "SNAPSHOT", "QUIT"}) {
+    std::string series = "crowdeval_server_command_seconds_count{command=\"";
+    series.append(verb).append("\"} 0\n");
+    EXPECT_NE(text.find(series), std::string::npos)
+        << verb << "\n"
+        << text;
+  }
+}
+
 // Hammers STATS/METRICS from readers while writers ingest — the
 // regression test for the pre-registry STATS counters, whose
 // unsynchronized increments raced. Run under TSan in CI.
@@ -500,6 +515,100 @@ TEST(ServiceTest, SpammersCommandReportsFilteredWorkers) {
   EXPECT_NE(reply.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(reply.find("\"spammers\":[{\"worker\":4,"), std::string::npos)
       << reply;
+}
+
+// ---- Replies against the printf oracle -------------------------------
+
+// The STATS fields of `reply`, read back so the reference can print
+// them; a reply printed differently from the reference then differs
+// from the reference's rendering of its own values.
+ReferenceStats ParseStats(const std::string& reply) {
+  ReferenceStats s;
+  s.num_workers = StatField(reply, "num_workers");
+  s.num_tasks = StatField(reply, "num_tasks");
+  s.total_responses = StatField(reply, "total_responses");
+  s.last_seq = StatField(reply, "last_seq");
+  s.dirty_workers = StatField(reply, "dirty_workers");
+  s.responses_ingested = StatField(reply, "responses_ingested");
+  s.responses_noop = StatField(reply, "responses_noop");
+  s.responses_rejected = StatField(reply, "responses_rejected");
+  s.eval_cache_hits = StatField(reply, "eval_cache_hits");
+  s.eval_cache_misses = StatField(reply, "eval_cache_misses");
+  s.eval_all_runs = StatField(reply, "eval_all_runs");
+  const std::string micros = "\"eval_micros_total\":";
+  const size_t pos = reply.find(micros);
+  EXPECT_NE(pos, std::string::npos) << reply;
+  if (pos != std::string::npos) {
+    s.eval_micros_total =
+        std::strtod(reply.c_str() + pos + micros.size(), nullptr);
+  }
+  s.journal_bytes = static_cast<int64_t>(StatField(reply, "journal_bytes"));
+  s.journal_records =
+      static_cast<int64_t>(StatField(reply, "journal_records"));
+  s.snapshots_written = StatField(reply, "snapshots_written");
+  s.snapshot_seq = static_cast<int64_t>(StatField(reply, "snapshot_seq"));
+  s.recovered_records = StatField(reply, "recovered_records");
+  s.recovery_truncated_bytes = StatField(reply, "recovery_truncated_bytes");
+  return s;
+}
+
+TEST(ServiceTest, RepliesMatchReferenceByteForByte) {
+  constexpr size_t kWorkers = 7;
+  constexpr size_t kTasks = 40;
+  ServiceOptions options;
+  options.num_workers = kWorkers;
+  options.num_tasks = kTasks;
+  options.data_dir = ScratchDir("reference_replies") + "/state";
+  auto opened = Service::Open(options);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  Service& service = **opened;
+
+  // RESP acks: new responses, an identical re-submission (acked with
+  // the current seq) and an overwrite.
+  data::ResponseMatrix matrix(kWorkers, kTasks, 2);
+  Random rng(99);
+  uint64_t seq = 0;
+  for (data::TaskId t = 0; t < kTasks; ++t) {
+    for (data::WorkerId w = 0; w < kWorkers; ++w) {
+      // Worker 6 answers against workers 0-5 often: a spammer.
+      const uint64_t truth = t % 2;
+      auto v = static_cast<data::Response>(
+          w + 1 == kWorkers ? rng.UniformInt(2)
+                            : truth ^ (rng.UniformInt(8) == 0 ? 1 : 0));
+      const std::string line = "RESP " + std::to_string(w) + " " +
+                               std::to_string(t) + " " + std::to_string(v);
+      ASSERT_EQ(service.ExecuteLine(line), ReferenceRespReply(++seq));
+      ASSERT_EQ(service.ExecuteLine(line), ReferenceRespReply(seq));
+      ASSERT_TRUE(matrix.Set(w, t, v).ok());
+    }
+  }
+  EXPECT_EQ(service.ExecuteLine("RESP 0 0 1"), ReferenceRespReply(++seq));
+  ASSERT_TRUE(matrix.Set(0, 0, 1).ok());
+  EXPECT_EQ(service.ExecuteLine("RESP 99 0 1"),
+            ReferenceErrorJson(service.Ingest(99, 0, 1)));
+
+  service.ExecuteLine("EVAL 2");
+  service.ExecuteLine("EVAL_ALL");
+  service.ExecuteLine("EVAL 2");
+
+  auto filtered = core::FilterSpammers(matrix, core::SpammerFilterOptions{});
+  ASSERT_TRUE(filtered.ok()) << filtered.status();
+  EXPECT_FALSE(filtered->removed.empty());
+  EXPECT_EQ(service.ExecuteLine("SPAMMERS"),
+            ReferenceSpammersReply(core::SpammerFilterOptions{}.threshold,
+                                   filtered->removed,
+                                   filtered->proxy_error));
+
+  std::string stats = service.ExecuteLine("STATS");
+  EXPECT_GT(ParseStats(stats).eval_micros_total, 0.0);
+  EXPECT_EQ(stats, ReferenceStatsReply(ParseStats(stats)));
+
+  const std::string snapshot = service.ExecuteLine("SNAPSHOT");
+  stats = service.ExecuteLine("STATS");
+  const ReferenceStats after = ParseStats(stats);
+  EXPECT_EQ(snapshot, ReferenceSnapshotReply(seq, after.journal_bytes));
+  EXPECT_EQ(stats, ReferenceStatsReply(after));
+  EXPECT_EQ(after.snapshots_written, 1u);
 }
 
 }  // namespace

@@ -1,13 +1,22 @@
 // Unit tests for the util module: Status/Result, string helpers, CSV,
-// and log-line formatting (text + JSON modes).
+// log-line formatting (text + JSON modes) and the JSON writer, whose
+// output is compared with the printf forms of tests/json_reference.h.
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "json_reference.h"
+#include "rng/random.h"
 #include "util/csv.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/result.h"
 #include "util/status.h"
@@ -205,6 +214,210 @@ TEST(Logging, FormatSwitchRoundTrips) {
   SetLogFormat(LogFormat::kText);
   EXPECT_EQ(GetLogFormat(), LogFormat::kText);
   SetLogFormat(before);
+}
+
+// ---- util/json.h against the printf oracle ---------------------------
+
+// The printf conversion that each to_chars form must reproduce.
+struct NumberForm {
+  const char* printf_format;
+  std::chars_format format;
+  int precision;
+};
+
+constexpr NumberForm kNumberForms[] = {
+    {"%.17g", std::chars_format::general, 17},  // JSON replies
+    {"%g", std::chars_format::general, 6},      // Prometheus bounds
+    {"%.3f", std::chars_format::fixed, 3},      // chrome-trace times
+    {"%.6f", std::chars_format::fixed, 6},      // log timestamps
+};
+
+std::string WriterForm(const NumberForm& form, double v) {
+  std::string out;
+  json::AppendChars(&out, v, form.format, form.precision);
+  return out;
+}
+
+std::string WriterJson(double v) {
+  std::string out;
+  json::Append(&out, v);
+  return out;
+}
+
+// Compares by memcmp so a difference in any byte, the length included,
+// counts; reports the first mismatch only.
+void ExpectSameBytes(const std::string& got, const std::string& want,
+                     const char* what, double v, size_t* mismatches) {
+  if (got.size() == want.size() &&
+      std::memcmp(got.data(), want.data(), got.size()) == 0) {
+    return;
+  }
+  if ((*mismatches)++ == 0) {
+    ADD_FAILURE() << what << " of bits 0x" << std::hex
+                  << std::bit_cast<uint64_t>(v) << ": writer \"" << got
+                  << "\" vs printf \"" << want << "\"";
+  }
+}
+
+TEST(JsonWriter, RandomBitPatternsMatchPrintf) {
+  // Raw 64-bit patterns cover every exponent, subnormals and the
+  // non-finite values alike.
+  Random rng(20261020);
+  size_t mismatches = 0;
+  constexpr int kDoubles = 1 << 20;
+  for (int i = 0; i < kDoubles; ++i) {
+    const double v = std::bit_cast<double>(rng.NextUint64());
+    ExpectSameBytes(WriterJson(v), ReferenceJsonDouble(v), "JSON", v,
+                    &mismatches);
+    // Every 64th value also goes through the other three forms (fixed
+    // notation prints up to 309 integer digits, which printf is slow
+    // at); non-finite values never reach them in the program.
+    if (i % 64 != 0 || !std::isfinite(v)) continue;
+    for (const NumberForm& form : kNumberForms) {
+      ExpectSameBytes(WriterForm(form, v),
+                      ReferenceFormat(form.printf_format, v),
+                      form.printf_format, v, &mismatches);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonWriter, TimeScaleDoublesMatchPrintf) {
+  // The magnitudes that the fixed forms print: trace times in
+  // microseconds and log timestamps in seconds since the epoch, with
+  // the mantissa's low bits random.
+  Random rng(1411);
+  size_t mismatches = 0;
+  for (int i = 0; i < (1 << 17); ++i) {
+    const double v =
+        std::ldexp(rng.NextDouble(), static_cast<int>(rng.UniformInt(48)));
+    for (const NumberForm& form : kNumberForms) {
+      ExpectSameBytes(WriterForm(form, v),
+                      ReferenceFormat(form.printf_format, v),
+                      form.printf_format, v, &mismatches);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(JsonWriter, EdgeDoublesMatchPrintf) {
+  std::vector<double> values = {
+      0.0,
+      DBL_MIN,
+      DBL_MAX,
+      DBL_TRUE_MIN,
+      DBL_MIN - DBL_TRUE_MIN,  // largest subnormal
+      std::bit_cast<double>(uint64_t{0x0008000000000001}),
+      DBL_EPSILON,
+      0.1,
+      1.0 / 3.0,
+      1e21,
+      1e-7,
+      123456.5,
+      0.0005,  // %.3f rounds a tie
+      0.0000005,
+      999999.5,
+      1e16,
+      5e-324,
+      std::numeric_limits<double>::infinity(),
+  };
+  for (int k = -4; k <= 4; ++k) {
+    values.push_back(9007199254740992.0 + k);  // 2^53 + k
+  }
+  const size_t count = values.size();
+  for (size_t i = 0; i < count; ++i) values.push_back(-values[i]);
+
+  size_t mismatches = 0;
+  for (double v : values) {
+    ExpectSameBytes(WriterJson(v), ReferenceJsonDouble(v), "JSON", v,
+                    &mismatches);
+    for (const NumberForm& form : kNumberForms) {
+      ExpectSameBytes(WriterForm(form, v),
+                      ReferenceFormat(form.printf_format, v),
+                      form.printf_format, v, &mismatches);
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(WriterJson(-0.0), "-0");
+  EXPECT_EQ(WriterJson(std::numeric_limits<double>::quiet_NaN()), "null");
+  EXPECT_EQ(WriterJson(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(WriterJson(std::bit_cast<double>(uint64_t{0x7FF800000000BEEF})),
+            "null");
+}
+
+TEST(JsonWriter, IntegersMatchPrintf) {
+  std::string out;
+  json::Append(&out, std::numeric_limits<uint64_t>::max(), " ",
+               std::numeric_limits<int64_t>::min(), " ", int64_t{-1}, " ",
+               size_t{0}, " ", std::numeric_limits<int>::max(), " ",
+               uint32_t{4294967295u});
+  EXPECT_EQ(out, ReferenceFormat("%llu %lld %lld %zu %d %u",
+                                 std::numeric_limits<unsigned long long>::max(),
+                                 std::numeric_limits<long long>::min(), -1LL,
+                                 size_t{0}, std::numeric_limits<int>::max(),
+                                 4294967295u));
+}
+
+TEST(JsonWriter, PartsAppendByType) {
+  std::string out = "x";
+  json::Append(&out, "{\"a\":", size_t{7}, ",\"b\":", 0.25, ",\"c\":", true,
+               ",\"d\":", json::Quoted{"q\"\n"}, ",\"e\":", 1e300 * 1e300,
+               "}");
+  EXPECT_EQ(out, "x{\"a\":7,\"b\":0.25,\"c\":true,\"d\":\"q\\\"\\n\","
+                 "\"e\":null}");
+  out.clear();
+  json::AppendArray(&out, 3, [&](size_t i) { json::Append(&out, i * 2); });
+  EXPECT_EQ(out, "[0,2,4]");
+  out.clear();
+  json::AppendArray(&out, 0, [&](size_t) { out += "never"; });
+  EXPECT_EQ(out, "[]");
+}
+
+TEST(JsonWriter, EscapeMatchesReferenceOnEveryByte) {
+  std::string all;
+  for (int c = 0; c < 256; ++c) all.push_back(static_cast<char>(c));
+  std::string out;
+  json::AppendEscaped(&out, all);
+  EXPECT_EQ(out, ReferenceJsonEscape(all));
+
+  Random rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string text(rng.UniformInt(40), '\0');
+    for (char& c : text) {
+      // Mostly the bytes that need escaping, some plain ones.
+      c = static_cast<char>(rng.UniformInt(2) == 0 ? rng.UniformInt(0x24)
+                                                   : rng.UniformInt(256));
+    }
+    out.clear();
+    json::AppendEscaped(&out, text);
+    ASSERT_EQ(out, ReferenceJsonEscape(text)) << trial;
+  }
+}
+
+TEST(Logging, JsonLinesMatchReference) {
+  struct Level {
+    LogLevel level;
+    const char* name;
+  };
+  const Level levels[] = {{LogLevel::kDebug, "DEBUG"},
+                          {LogLevel::kInfo, "INFO"},
+                          {LogLevel::kWarning, "WARN"},
+                          {LogLevel::kError, "ERROR"},
+                          {LogLevel::kFatal, "FATAL"}};
+  Random rng(11);
+  for (int trial = 0; trial < 5000; ++trial) {
+    const Level& level = levels[rng.UniformInt(5)];
+    std::string message(rng.UniformInt(60), '\0');
+    for (char& c : message) c = static_cast<char>(rng.UniformInt(128));
+    // Wall-clock seconds with a random fraction, around today's epoch.
+    const double ts = 1.7e9 + rng.Uniform(0.0, 1e8);
+    const int line = static_cast<int>(rng.UniformInt(100000));
+    const char* file = trial % 2 == 0 ? "src/server/service.cc" : "a\"b.cc";
+    EXPECT_EQ(internal::FormatLogLine(LogFormat::kJson, level.level, file,
+                                      line, message, ts),
+              ReferenceJsonLogLine(level.name, file, line, message, ts))
+        << trial;
+  }
 }
 
 }  // namespace
