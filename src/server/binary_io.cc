@@ -223,6 +223,9 @@ Status File::Truncate(uint64_t size) {
   if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
     return Errno("ftruncate", path_);
   }
+  if (::lseek(fd_, static_cast<off_t>(size), SEEK_SET) < 0) {
+    return Errno("lseek", path_);
+  }
   return Status::OK();
 }
 

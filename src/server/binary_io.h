@@ -112,7 +112,9 @@ class File {
   Result<size_t> ReadAt(uint64_t offset, void* out, size_t size);
   /// Current file size in bytes.
   Result<uint64_t> Size() const;
-  /// Truncates the file to `size` bytes.
+  /// Truncates the file to `size` bytes and moves the file offset
+  /// there, so the next write of a non-append file lands at the new
+  /// end rather than past a hole.
   Status Truncate(uint64_t size);
   /// fsync(2): force written data to stable storage.
   Status Sync();

@@ -1,5 +1,6 @@
 #include "server/journal.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -108,14 +109,12 @@ Result<JournalRecovered> Journal::Open(const std::string& path) {
   CROWD_ASSIGN_OR_RETURN(JournalReplay replay,
                          ReplayJournalBytes(bytes.data(), bytes.size(),
                                             path));
-  JournalRecovered out{Journal(std::move(file), replay.header,
-                               replay.header.base_seq, kHeaderBytes),
-                       replay.header,
-                       std::move(replay.records),
-                       0};
+  const uint64_t last_seq = replay.header.base_seq + replay.records.size();
+  const uint64_t offset = replay.valid_bytes;
+  JournalRecovered out{
+      Journal(std::move(file), replay.header, last_seq, offset),
+      replay.header, std::move(replay.records), 0};
   Journal& journal = out.journal;
-  journal.last_seq_ = replay.header.base_seq + out.records.size();
-  uint64_t offset = replay.valid_bytes;
   if (offset < size) {
     out.truncated_bytes = size - offset;
     CROWD_RETURN_NOT_OK(journal.file_.Truncate(offset));
@@ -132,32 +131,52 @@ Result<JournalRecovered> Journal::Open(const std::string& path) {
         "records replayed from the journal during recovery");
     replayed->Increment(out.records.size());
   }
-  journal.file_bytes_ = offset;
   return out;
 }
 
-Status Journal::Append(const JournalRecord& record) {
-  if (record.seq != next_seq()) {
-    return Status::Internal(StrFormat(
-        "journal append out of order: seq %llu, expected %llu",
-        static_cast<unsigned long long>(record.seq),
-        static_cast<unsigned long long>(next_seq())));
+Status Journal::Append(std::span<const JournalRecord> records) {
+  for (size_t i = 0; i < records.size(); ++i) {
+    if (records[i].seq != next_seq() + i) {
+      return Status::Internal(StrFormat(
+          "journal append out of order: seq %llu, expected %llu",
+          static_cast<unsigned long long>(records[i].seq),
+          static_cast<unsigned long long>(next_seq() + i)));
+    }
   }
+  if (records.empty()) return Status::OK();
   CROWD_SPAN("journal.append");
-  const auto bytes = EncodeJournalRecord(record);
-  CROWD_RETURN_NOT_OK(file_.WriteAll(bytes.data(), bytes.size()));
-  last_seq_ = record.seq;
-  file_bytes_ += bytes.size();
+  buffer_.resize(records.size() * kRecordBytes);
+  for (size_t i = 0; i < records.size(); ++i) {
+    const auto bytes = EncodeJournalRecord(records[i]);
+    std::copy(bytes.begin(), bytes.end(), buffer_.data() + i * kRecordBytes);
+  }
+  Status written = file_.WriteAll(buffer_.data(), buffer_.size());
+  if (!written.ok()) return RollBack(last_seq_, file_bytes_, written);
+  last_seq_ = records.back().seq;
+  file_bytes_ += buffer_.size();
   if (obs::Registry* r = obs::MetricsRegistry()) {
     static obs::Counter* const appends = r->GetCounter(
         "crowdeval_journal_appends_total", "journal records appended");
-    static obs::Counter* const written = r->GetCounter(
+    static obs::Counter* const written_bytes = r->GetCounter(
         "crowdeval_journal_bytes_written_total",
         "bytes appended to the journal");
-    appends->Increment();
-    written->Increment(bytes.size());
+    appends->Increment(records.size());
+    written_bytes->Increment(buffer_.size());
   }
   return Status::OK();
+}
+
+Status Journal::RollBack(uint64_t seq, uint64_t bytes, const Status& cause) {
+  Status truncated = file_.Truncate(bytes);
+  if (!truncated.ok()) {
+    return Status::IoError(cause.message() +
+                           "; truncating back to the last whole record "
+                           "also failed: " +
+                           truncated.message());
+  }
+  last_seq_ = seq;
+  file_bytes_ = bytes;
+  return cause;
 }
 
 Status Journal::Sync() {
@@ -170,6 +189,9 @@ Status Journal::Sync() {
         obs::Histogram::LatencyBounds());
     latency->Record(watch.ElapsedSeconds());
   }
+  if (!status.ok()) return RollBack(synced_seq_, synced_bytes_, status);
+  synced_seq_ = last_seq_;
+  synced_bytes_ = file_bytes_;
   return status;
 }
 

@@ -22,12 +22,17 @@
 // record fails its length/CRC/seq check; Open() stops there, truncates
 // the file back to the last valid record, and reports how many bytes
 // were dropped. Everything before the tear is kept.
+//
+// A running process never leaves a tear behind: a failed Append
+// truncates the file back to its last whole record, and a failed Sync
+// back to the last successful Sync, before it returns the error.
 
 #ifndef CROWD_SERVER_JOURNAL_H_
 #define CROWD_SERVER_JOURNAL_H_
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,11 +104,23 @@ class Journal {
   /// corrupt header.
   static Result<JournalRecovered> Open(const std::string& path);
 
-  /// Appends one record. `record.seq` must be `next_seq()`.
-  Status Append(const JournalRecord& record);
+  /// Appends `records` with one write(2). Their seqs must run
+  /// `next_seq()`, `next_seq() + 1`, ...; a gap anywhere fails with
+  /// Internal before a byte is written. A failed write truncates the
+  /// file back to its last whole record and leaves `next_seq()` as it
+  /// was, so no torn bytes stay in front of a later append.
+  Status Append(std::span<const JournalRecord> records);
+  /// Appends one record: a span of one.
+  Status Append(const JournalRecord& record) {
+    return Append(std::span<const JournalRecord>(&record, 1));
+  }
 
   /// fsync(2) — required only for durability against power loss;
-  /// process crashes (SIGKILL) never lose an acknowledged append.
+  /// process crashes (SIGKILL) never lose an acknowledged append. A
+  /// failed sync truncates the file back to where the last successful
+  /// Sync (or Create/Open) left it and rewinds `next_seq()`: the
+  /// records after that point may not be on stable storage, and a
+  /// caller that syncs before acknowledging has acked none of them.
   Status Sync();
 
   const JournalHeader& header() const { return header_; }
@@ -123,19 +140,30 @@ class Journal {
       : file_(std::move(file)),
         header_(header),
         last_seq_(last_seq),
-        file_bytes_(file_bytes) {}
+        file_bytes_(file_bytes),
+        synced_seq_(last_seq),
+        synced_bytes_(file_bytes) {}
+
+  /// Truncates the file back to `bytes` (ending at record `seq`) after
+  /// `cause` failed, and returns `cause`, noting a failed truncation.
+  Status RollBack(uint64_t seq, uint64_t bytes, const Status& cause);
 
   File file_;
   JournalHeader header_;
   uint64_t last_seq_ = 0;
   uint64_t file_bytes_ = 0;
+  /// Where the last successful Sync (or Create/Open) left the file.
+  uint64_t synced_seq_ = 0;
+  uint64_t synced_bytes_ = 0;
+  /// Encoded records of one Append, kept to reuse its capacity.
+  std::vector<uint8_t> buffer_;
 };
 
 /// Serialized header / record images exactly as written to disk.
 /// Shared by Journal::Create/Append, the recovery replay, and the
 /// fuzz harnesses' round-trip checks. A record is encoded in place,
-/// with no heap allocation, because Append runs under the service
-/// lock for every accepted response.
+/// with no heap allocation; Append copies each image into its reused
+/// buffer under the service lock.
 std::vector<uint8_t> EncodeJournalHeader(const JournalHeader& header);
 std::array<uint8_t, Journal::kRecordBytes> EncodeJournalRecord(
     const JournalRecord& record);

@@ -233,44 +233,90 @@ Status Service::Recover() {
 
 Status Service::Ingest(data::WorkerId worker, data::TaskId task,
                        data::Response value, uint64_t* seq) {
+  const Command cmd{CommandType::kResp, worker, task, value};
+  RespOutcome outcome;
+  IngestRun(std::span<const Command>(&cmd, 1), &outcome);
+  if (outcome.status.ok() && seq != nullptr) *seq = outcome.seq;
+  return outcome.status;
+}
+
+void Service::IngestRun(std::span<const Command> run,
+                        RespOutcome* outcomes) {
   util::MutexLock lock(mu_);
-  bool changed = false;
-  Status st = evaluator_->AddResponse(worker, task, value, &changed);
-  if (!st.ok()) {
-    counters_.rejected->Increment();
-    return st;
+  // Outcomes [first_pending, i] wait on pending_: their acks name seqs
+  // that are not journaled yet.
+  size_t first_pending = 0;
+  for (size_t i = 0; i < run.size(); ++i) {
+    const Command& cmd = run[i];
+    RespOutcome& outcome = outcomes[i];
+    if (!journal_failure_.ok()) {
+      outcome.status = JournalFailedError();
+      continue;
+    }
+    bool changed = false;
+    Status st =
+        evaluator_->AddResponse(cmd.worker, cmd.task, cmd.value, &changed);
+    if (!st.ok()) {
+      counters_.rejected->Increment();
+      outcome.status = std::move(st);
+      continue;
+    }
+    outcome.seq = last_seq_ + pending_.size();
+    if (!changed) {
+      counters_.noop->Increment();
+      continue;
+    }
+    pending_.push_back({++outcome.seq, cmd.worker, cmd.task, cmd.value});
+    // An automatic snapshot falls exactly where one-at-a-time ingest
+    // puts it, so the journal and snapshot bytes do not depend on how
+    // the lines were batched.
+    if (options_.snapshot_every > 0 && journal_.has_value() &&
+        outcome.seq -
+                static_cast<uint64_t>(counters_.snapshot_seq->Value()) >=
+            options_.snapshot_every) {
+      CommitPending(std::span<RespOutcome>(outcomes + first_pending,
+                                           i + 1 - first_pending));
+      first_pending = i + 1;
+      if (!journal_failure_.ok()) continue;
+      auto snap = TakeSnapshotLocked();
+      if (!snap.ok()) {
+        // The responses themselves are durable in the journal; a
+        // failed background compaction must not fail the ingest.
+        CROWD_LOG_WARNING << "automatic snapshot failed: " << snap.status();
+      }
+    }
   }
-  if (!changed) {
-    counters_.noop->Increment();
-    if (seq != nullptr) *seq = last_seq_;
-    return Status::OK();
-  }
-  const uint64_t next_seq = last_seq_ + 1;
+  CommitPending(std::span<RespOutcome>(outcomes + first_pending,
+                                       run.size() - first_pending));
+}
+
+void Service::CommitPending(std::span<RespOutcome> run) {
+  if (pending_.empty()) return;
   if (journal_.has_value()) {
-    JournalRecord record{next_seq, worker, task, value};
-    CROWD_RETURN_NOT_OK(journal_->Append(record));
-    if (options_.fsync_each_append) {
-      CROWD_RETURN_NOT_OK(journal_->Sync());
+    Status st = journal_->Append(pending_);
+    if (st.ok() && options_.fsync_each_append) st = journal_->Sync();
+    if (!st.ok()) {
+      CROWD_LOG_ERROR << "journal failed; refusing writes until restart: "
+                      << st;
+      journal_failure_ = st;
+      for (RespOutcome& outcome : run) outcome.status = st;
+      pending_.clear();
+      return;
     }
     counters_.journal_bytes->Set(
         static_cast<int64_t>(journal_->file_bytes()));
     counters_.journal_records->Set(
         static_cast<int64_t>(journal_->record_count()));
   }
-  last_seq_ = next_seq;
-  if (seq != nullptr) *seq = next_seq;
-  counters_.ingested->Increment();
-  if (options_.snapshot_every > 0 && journal_.has_value() &&
-      last_seq_ - static_cast<uint64_t>(counters_.snapshot_seq->Value()) >=
-          options_.snapshot_every) {
-    auto snap = TakeSnapshotLocked();
-    if (!snap.ok()) {
-      // The response itself is durable in the journal; a failed
-      // background compaction must not fail the ingest.
-      CROWD_LOG_WARNING << "automatic snapshot failed: " << snap.status();
-    }
-  }
-  return Status::OK();
+  last_seq_ = pending_.back().seq;
+  counters_.ingested->Increment(pending_.size());
+  pending_.clear();
+}
+
+Status Service::JournalFailedError() const {
+  return Status::IoError(
+      "journal failed (" + journal_failure_.message() +
+      "); RESP and SNAPSHOT are refused until the service restarts");
 }
 
 Result<core::WorkerAssessment> Service::Evaluate(data::WorkerId worker) {
@@ -319,6 +365,9 @@ Result<uint64_t> Service::TakeSnapshotLocked() {
   if (options_.data_dir.empty()) {
     return Status::Invalid("snapshots require a data directory");
   }
+  // The matrix may hold cells of the run whose journal write failed;
+  // a snapshot would make them durable although they were never acked.
+  if (!journal_failure_.ok()) return JournalFailedError();
   CROWD_RETURN_NOT_OK(
       WriteSnapshot(options_.data_dir, evaluator_->responses(), last_seq_)
           .status());
@@ -391,27 +440,73 @@ size_t Service::num_tasks() const {
   return NumTasksLocked();
 }
 
-std::string Service::ExecuteLine(std::string_view line, bool* quit) {
+void Service::ExecuteBurst(std::span<const std::string_view> lines,
+                           std::string* out, bool* quit) {
   if (quit != nullptr) *quit = false;
-  Result<Command> cmd = ParseCommand(line);
-  if (!cmd.ok()) return ErrorJson(cmd.status());
+  // RESP lines gather into a run until a line of another kind (or the
+  // end of the burst) closes it.
+  std::vector<Command> run;
+  for (std::string_view line : lines) {
+    Result<Command> cmd = ParseCommand(line);
+    if (cmd.ok() && cmd->type == CommandType::kResp) {
+      run.push_back(*cmd);
+      continue;
+    }
+    ServeRespRun(run, out);
+    run.clear();
+    if (!cmd.ok()) {
+      *out += ErrorJson(cmd.status());
+      *out += '\n';
+      continue;
+    }
+    bool stop = false;
+    Stopwatch timer;
+    *out += HandleCommand(*cmd, &stop);
+    counters_.command_seconds[static_cast<size_t>(cmd->type)]->Record(
+        timer.ElapsedSeconds());
+    *out += '\n';
+    if (stop) {
+      if (quit != nullptr) *quit = true;
+      return;
+    }
+  }
+  ServeRespRun(run, out);
+}
+
+void Service::ServeRespRun(std::span<const Command> run, std::string* out) {
+  if (run.empty()) return;
   Stopwatch timer;
-  std::string reply = HandleCommand(*cmd, quit);
-  counters_.command_seconds[static_cast<size_t>(cmd->type)]->Record(
-      timer.ElapsedSeconds());
-  return reply;
+  std::vector<RespOutcome> outcomes(run.size());
+  IngestRun(run, outcomes.data());
+  for (const RespOutcome& outcome : outcomes) {
+    if (outcome.status.ok()) {
+      json::Append(out, "{\"ok\":true,\"seq\":", outcome.seq, "}\n");
+    } else {
+      *out += ErrorJson(outcome.status);
+      *out += '\n';
+    }
+  }
+  // Each RESP records its share of the run, so the histogram still
+  // counts one sample per RESP.
+  const double share =
+      timer.ElapsedSeconds() / static_cast<double>(run.size());
+  obs::HistogramMetric* seconds =
+      counters_.command_seconds[static_cast<size_t>(CommandType::kResp)];
+  for (size_t i = 0; i < run.size(); ++i) seconds->Record(share);
+}
+
+std::string Service::ExecuteLine(std::string_view line, bool* quit) {
+  std::string out;
+  ExecuteBurst(std::span<const std::string_view>(&line, 1), &out, quit);
+  out.pop_back();  // the newline ExecuteBurst ends each reply with
+  return out;
 }
 
 std::string Service::HandleCommand(const Command& cmd, bool* quit) {
   std::string out;
   switch (cmd.type) {
-    case CommandType::kResp: {
-      uint64_t seq = 0;
-      Status st = Ingest(cmd.worker, cmd.task, cmd.value, &seq);
-      if (!st.ok()) return ErrorJson(st);
-      json::Append(&out, "{\"ok\":true,\"seq\":", seq, "}");
-      return out;
-    }
+    case CommandType::kResp:
+      break;  // ExecuteBurst serves RESP in runs
     case CommandType::kEval: {
       Result<core::WorkerAssessment> result = Evaluate(cmd.worker);
       if (!result.ok()) return ErrorJson(result.status());

@@ -5,7 +5,8 @@
 // on startup from the latest valid snapshot plus the journal tail.
 //
 // Concurrency model: one mutex, mu_, guards the evaluator, the journal
-// and the seq. RESP holds it throughout; it is O(m) (a matrix store, an
+// and the seq. A run of consecutive RESP lines (ExecuteBurst) takes it
+// once and holds it throughout; each RESP is O(m) (a matrix store, an
 // overlap update and dirty-epoch marking). EVAL and EVAL_ALL hold it
 // twice, briefly, around an IncrementalEvaluator::Pass:
 //   1. capture, under mu_: each requested worker's dirty epoch, its
@@ -27,7 +28,13 @@
 // Durability: an acknowledged RESP has been write(2)ed to the journal
 // and survives SIGKILL of the daemon (OS page cache); set
 // `fsync_each_append` to also survive power loss at a heavy latency
-// cost. Recovery sequence (Service::Open with a data_dir):
+// cost. A RESP run is journaled with one write(2) (and one fsync)
+// before any of its acks is written. A failed journal write or sync is
+// final: every RESP of that run gets the I/O error, the journal is cut
+// back to its last whole record, and RESP and SNAPSHOT are refused
+// until the service is reopened (the failed run's cells stay applied
+// in memory, so EVAL may read them until then; recovery drops them).
+// Recovery sequence (Service::Open with a data_dir):
 //   1. newest snapshot whose checksum validates -> response matrix
 //      (an empty matrix when there is no snapshot),
 //   2. journal records with seq > snapshot.applied_seq written into
@@ -45,8 +52,10 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/incremental.h"
 #include "core/spammer_filter.h"
@@ -77,7 +86,8 @@ struct ServiceOptions {
   /// Automatically snapshot + compact after this many accepted
   /// responses since the last snapshot (0 = only on SNAPSHOT).
   uint64_t snapshot_every = 0;
-  /// fsync the journal after every append (power-loss durability).
+  /// fsync the journal after every append, one append per RESP run
+  /// (power-loss durability).
   bool fsync_each_append = false;
   /// When non-empty, SNAPSHOT also dumps the chrome-trace JSON of all
   /// spans captured so far to this path (the daemon additionally dumps
@@ -96,18 +106,31 @@ class Service {
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
+  /// \brief Executes the complete request lines of one read, in
+  /// order, appending each reply and a '\n' to `*out`. The replies are
+  /// those of ExecuteLine on each line in turn, byte for byte. Each
+  /// maximal run of consecutive RESP lines is applied under one
+  /// acquisition of mu_ and journaled with one write(2) (and one fsync
+  /// with `fsync_each_append`) before any of its acks is written; every
+  /// other verb runs on its own. A QUIT line sets `*quit` and ends the
+  /// burst: no later line runs.
+  void ExecuteBurst(std::span<const std::string_view> lines,
+                    std::string* out, bool* quit = nullptr)
+      CROWD_EXCLUDES(mu_);
+
   /// \brief Executes one protocol line and returns one JSON line
-  /// (without trailing newline). Never fails: errors become
-  /// `{"ok":false,...}` replies. Sets `*quit` when the command asks to
-  /// close the connection.
+  /// (without trailing newline): a burst of one. Never fails: errors
+  /// become `{"ok":false,...}` replies. Sets `*quit` when the command
+  /// asks to close the connection.
   std::string ExecuteLine(std::string_view line, bool* quit = nullptr)
       CROWD_EXCLUDES(mu_);
 
   /// Typed entry points (used by tests and the bench harness; the
-  /// protocol handlers above are thin wrappers over these). On
-  /// success Ingest sets `*seq` (when non-null) to the seq the
-  /// response was journaled under, or to the current seq for a no-op
-  /// re-submission, read under the same lock that applied it.
+  /// protocol handlers above are thin wrappers over these). Ingest is
+  /// a RESP run of one. On success it sets `*seq` (when non-null) to
+  /// the seq the response was journaled under, or to the current seq
+  /// for a no-op re-submission, read under the same lock that applied
+  /// it.
   Status Ingest(data::WorkerId worker, data::TaskId task,
                 data::Response value, uint64_t* seq = nullptr)
       CROWD_EXCLUDES(mu_);
@@ -156,9 +179,30 @@ class Service {
     std::array<obs::HistogramMetric*, kNumCommandTypes> command_seconds;
   };
 
+  /// The reply to one RESP of a run: its error, or the seq its ack
+  /// names.
+  struct RespOutcome {
+    Status status;
+    uint64_t seq = 0;
+  };
+
   explicit Service(ServiceOptions options);
 
   Status Recover() CROWD_REQUIRES(mu_);
+  /// Applies a RESP run and appends its replies, each with a '\n'.
+  void ServeRespRun(std::span<const Command> run, std::string* out)
+      CROWD_EXCLUDES(mu_);
+  /// Applies a RESP run under one acquisition of mu_, filling
+  /// `outcomes[i]` for `run[i]`.
+  void IngestRun(std::span<const Command> run, RespOutcome* outcomes)
+      CROWD_EXCLUDES(mu_);
+  /// Journals `pending_` with one Append (and one Sync) and advances
+  /// last_seq_ past it. On failure the journal is failed for good and
+  /// every outcome in `run` gets the error.
+  void CommitPending(std::span<RespOutcome> run) CROWD_REQUIRES(mu_);
+  /// The error RESP and SNAPSHOT get once the journal has failed.
+  Status JournalFailedError() const CROWD_REQUIRES(mu_);
+  /// Every verb but RESP, which runs in runs through IngestRun.
   std::string HandleCommand(const Command& cmd, bool* quit)
       CROWD_EXCLUDES(mu_);
   Result<uint64_t> TakeSnapshotLocked() CROWD_REQUIRES(mu_);
@@ -176,6 +220,11 @@ class Service {
       CROWD_GUARDED_BY(mu_);
   std::optional<Journal> journal_ CROWD_GUARDED_BY(mu_);
   uint64_t last_seq_ CROWD_GUARDED_BY(mu_) = 0;
+  /// Accepted records of the RESP run being applied, not yet journaled
+  /// (seqs last_seq_ + 1, ...); kept to reuse its capacity.
+  std::vector<JournalRecord> pending_ CROWD_GUARDED_BY(mu_);
+  /// The first failed journal write or sync; OK while none has failed.
+  Status journal_failure_ CROWD_GUARDED_BY(mu_);
 };
 
 }  // namespace crowd::server

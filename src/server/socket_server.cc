@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <string_view>
 
 #include "server/protocol.h"
 #include "util/logging.h"
@@ -46,7 +47,14 @@ bool SendAll(int fd, const char* data, size_t size) {
 }  // namespace
 
 SocketServer::SocketServer(Service* service, SocketServerOptions options)
-    : service_(service), options_(std::move(options)) {}
+    : service_(service),
+      options_(std::move(options)),
+      connections_total_(service->metrics_registry().GetCounter(
+          "crowdeval_server_connections_total",
+          "client connections accepted")),
+      connections_active_(service->metrics_registry().GetGauge(
+          "crowdeval_server_connections_active",
+          "currently connected clients")) {}
 
 SocketServer::~SocketServer() { Stop(); }
 
@@ -122,10 +130,7 @@ void SocketServer::AcceptLoop() {
       break;  // listener closed
     }
     connections_.fetch_add(1);
-    service_->metrics_registry()
-        .GetCounter("crowdeval_server_connections_total",
-                    "client connections accepted")
-        ->Increment();
+    connections_total_->Increment();
     util::MutexLock lock(client_mu_);
     clients_.emplace(fd, std::thread([this, fd] { ServeConnection(fd); }));
   }
@@ -141,11 +146,10 @@ void SocketServer::JoinFinished() {
 }
 
 void SocketServer::ServeConnection(int fd) {
-  obs::Gauge* active = service_->metrics_registry().GetGauge(
-      "crowdeval_server_connections_active",
-      "currently connected clients");
-  active->Add(1);
+  connections_active_->Add(1);
   std::string buffer;
+  std::vector<std::string_view> lines;
+  std::string replies;
   char chunk[4096];
   bool quit = false;
   while (!quit && running_.load()) {
@@ -153,32 +157,33 @@ void SocketServer::ServeConnection(int fd) {
     if (n < 0 && errno == EINTR) continue;
     if (n <= 0) break;  // EOF or shutdown() from Stop()
     buffer.append(chunk, static_cast<size_t>(n));
+    // Every complete line up to the first over-long one runs as one
+    // burst, and its replies go out in one send.
+    lines.clear();
     size_t start = 0;
     bool too_long = false;
-    for (size_t nl = buffer.find('\n', start);
-         nl != std::string::npos && !quit;
+    for (size_t nl = buffer.find('\n'); nl != std::string::npos;
          nl = buffer.find('\n', start)) {
       if (nl - start > kMaxLineBytes) {
         too_long = true;
         break;
       }
-      std::string_view line(buffer.data() + start, nl - start);
-      std::string reply = service_->ExecuteLine(line, &quit);
-      reply.push_back('\n');
-      if (!SendAll(fd, reply.data(), reply.size())) quit = true;
+      lines.emplace_back(buffer.data() + start, nl - start);
       start = nl + 1;
     }
-    if (!quit && (too_long || buffer.size() - start > kMaxLineBytes)) {
-      std::string reply = ErrorJson(Status::Invalid(StrFormat(
+    replies.clear();
+    service_->ExecuteBurst(lines, &replies, &quit);
+    too_long = !quit && (too_long || buffer.size() - start > kMaxLineBytes);
+    if (too_long) {
+      replies += ErrorJson(Status::Invalid(StrFormat(
           "request line exceeds %zu bytes; closing connection",
           kMaxLineBytes)));
-      reply.push_back('\n');
-      SendAll(fd, reply.data(), reply.size());
-      break;
+      replies += '\n';
     }
+    if (!SendAll(fd, replies.data(), replies.size()) || too_long) break;
     buffer.erase(0, start);
   }
-  active->Subtract(1);
+  connections_active_->Subtract(1);
   {
     util::MutexLock lock(client_mu_);
     // Stop() may have taken this thread over already; it joins it.

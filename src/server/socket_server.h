@@ -2,8 +2,9 @@
 // Unix-domain or loopback TCP socket and speaks the newline-delimited
 // protocol of server/protocol.h, one thread per connection. All state
 // lives in the shared Service (which synchronizes commands internally);
-// the socket layer only frames lines, bounded at 4096 bytes each, and
-// writes replies.
+// the socket layer only frames lines, bounded at 4096 bytes each, hands
+// the complete lines of each read to Service::ExecuteBurst and writes
+// their replies with one send.
 
 #ifndef CROWD_SERVER_SOCKET_SERVER_H_
 #define CROWD_SERVER_SOCKET_SERVER_H_
@@ -60,6 +61,9 @@ class SocketServer {
 
   Service* service_;
   SocketServerOptions options_;
+  /// The service registry's connection series, resolved once.
+  obs::Counter* const connections_total_;
+  obs::Gauge* const connections_active_;
 
   int listen_fd_ = -1;
   uint16_t port_ = 0;

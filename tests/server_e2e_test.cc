@@ -344,6 +344,60 @@ TEST(CrowdevaldE2eTest, OverlongRequestLineClosesOnlyThatConnection) {
     EXPECT_EQ(client.RoundTrip("RESP 0 0 1"), "{\"ok\":true,\"seq\":1}");
     EXPECT_EQ(client.RoundTrip("QUIT"), "{\"ok\":true,\"bye\":true}");
   }
+  {
+    // Valid lines in the same send as an over-long one are answered
+    // first, in order; then comes the error and the close.
+    Client client(socket_path);
+    (void)client.SendRaw("RESP 1 0 1\nRESP 2 0 1\n" +
+                         std::string(5000, 'x') + "\n");
+    EXPECT_EQ(client.ReadLine(), "{\"ok\":true,\"seq\":2}");
+    EXPECT_EQ(client.ReadLine(), "{\"ok\":true,\"seq\":3}");
+    const std::string reply = client.ReadLine();
+    EXPECT_NE(reply.find("exceeds 4096 bytes"), std::string::npos)
+        << reply;
+    EXPECT_TRUE(client.AtEof());
+  }
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << status;
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+// One send of 200 RESPs, a QUIT and more lines: the daemon answers
+// the 200 RESPs and the QUIT, in order, closes the connection, and
+// runs nothing after the QUIT.
+TEST(CrowdevaldE2eTest, PipelinedBurstIsAnsweredInOrderUpToQuit) {
+  const std::string dir = testing::TempDir() + "/crowdevald_burst_" +
+                          std::to_string(::getpid());
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string socket_path = dir + "/sock";
+  const std::string log_path = dir + "/daemon.log";
+  pid_t pid = SpawnDaemon({"--workers=20", "--tasks=20"}, socket_path,
+                          log_path);
+  ASSERT_GT(pid, 0);
+  {
+    std::string burst;
+    for (int i = 0; i < 200; ++i) {
+      burst += "RESP " + std::to_string(i % 20) + " " +
+               std::to_string(i / 20) + " " + std::to_string(i % 2) + "\n";
+    }
+    burst += "QUIT\nRESP 19 19 1\nSTATS\n";
+    Client client(socket_path);
+    ASSERT_TRUE(client.SendRaw(burst));
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(client.ReadLine(),
+                "{\"ok\":true,\"seq\":" + std::to_string(i + 1) + "}");
+    }
+    EXPECT_EQ(client.ReadLine(), "{\"ok\":true,\"bye\":true}");
+    EXPECT_TRUE(client.AtEof());
+  }
+  {
+    Client client(socket_path);
+    const std::string stats = client.RoundTrip("STATS");
+    EXPECT_NE(stats.find("\"last_seq\":200,"), std::string::npos) << stats;
+  }
   ASSERT_EQ(::kill(pid, SIGTERM), 0);
   int status = 0;
   ASSERT_EQ(::waitpid(pid, &status, 0), pid);

@@ -3,10 +3,16 @@
 // record, corruption detection, and the end-to-end property that a
 // recovered Service produces bit-identical assessments.
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -141,6 +147,121 @@ TEST(JournalTest, CorruptRecordDropsItAndEverythingAfter) {
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_EQ(recovered->records.size(), 2u);
   EXPECT_EQ(recovered->truncated_bytes, 4 * Journal::kRecordBytes);
+}
+
+void ExpectSameRecords(const std::vector<JournalRecord>& got,
+                       const std::vector<JournalRecord>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].seq, want[i].seq) << i;
+    EXPECT_EQ(got[i].worker, want[i].worker) << i;
+    EXPECT_EQ(got[i].task, want[i].task) << i;
+    EXPECT_EQ(got[i].value, want[i].value) << i;
+  }
+}
+
+JournalHeader SmallHeader() {
+  JournalHeader header;
+  header.num_workers = 3;
+  header.num_tasks = 5;
+  return header;
+}
+
+// One Append of a span writes the bytes that appending its records one
+// at a time writes, and replays to the same records.
+TEST(JournalTest, SpanAppendMatchesOneAtATime) {
+  const std::string dir = ScratchDir("journal_span");
+  const std::vector<JournalRecord> records = MakeRecords(9);
+  WriteJournal(dir + "/single.crwj", records);
+  {
+    auto journal = Journal::Create(dir + "/span.crwj", SmallHeader());
+    ASSERT_TRUE(journal.ok()) << journal.status();
+    const std::span<const JournalRecord> all(records);
+    ASSERT_TRUE(journal->Append(all.first(4)).ok());
+    ASSERT_TRUE(journal->Append(all.subspan(4, 0)).ok());
+    ASSERT_TRUE(journal->Append(all.subspan(4)).ok());
+    EXPECT_EQ(journal->next_seq(), records.size() + 1);
+    EXPECT_EQ(journal->file_bytes(),
+              Journal::kHeaderBytes + records.size() * Journal::kRecordBytes);
+  }
+  auto single = ReadFileBytes(dir + "/single.crwj");
+  auto span = ReadFileBytes(dir + "/span.crwj");
+  ASSERT_TRUE(single.ok() && span.ok());
+  EXPECT_EQ(*span, *single);
+  auto replay = ReplayJournalBytes(span->data(), span->size(), "span");
+  ASSERT_TRUE(replay.ok()) << replay.status();
+  ExpectSameRecords(replay->records, records);
+}
+
+// A seq gap anywhere in a span rejects the whole span before a byte is
+// written.
+TEST(JournalTest, SpanWithSeqGapWritesNothing) {
+  const std::string path = ScratchDir("journal_span_gap") + "/j.crwj";
+  auto journal = Journal::Create(path, SmallHeader());
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  std::vector<JournalRecord> records = MakeRecords(6);
+  ASSERT_TRUE(
+      journal->Append(std::span<const JournalRecord>(records).first(2)).ok());
+  const uint64_t bytes = fs::file_size(path);
+  records[4].seq = 7;  // 3, 4, 7, 6: a gap in the middle
+  const Status st =
+      journal->Append(std::span<const JournalRecord>(records).subspan(2));
+  EXPECT_TRUE(st.IsInternal()) << st;
+  EXPECT_EQ(fs::file_size(path), bytes);
+  EXPECT_EQ(journal->file_bytes(), bytes);
+  EXPECT_EQ(journal->next_seq(), 3u);
+}
+
+// Caps this process's file-size limit (RLIMIT_FSIZE) with SIGXFSZ
+// ignored, so a write(2) that crosses the cap comes back short and the
+// next one fails with EFBIG; restores both on destruction.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(uint64_t bytes)
+      : old_handler_(std::signal(SIGXFSZ, SIG_IGN)) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &old_), 0);
+    rlimit cap = old_;
+    cap.rlim_cur = static_cast<rlim_t>(bytes);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &cap), 0);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &old_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  void (*old_handler_)(int);
+  rlimit old_{};
+};
+
+// A write cut short mid-record leaves the file at its last whole
+// record, so appending after the cap is lifted writes the same bytes
+// as an append that never failed.
+TEST(JournalTest, FailedAppendTruncatesBackToLastWholeRecord) {
+  const std::string dir = ScratchDir("journal_failed_append");
+  const std::vector<JournalRecord> records = MakeRecords(5);
+  const std::span<const JournalRecord> all(records);
+  WriteJournal(dir + "/clean.crwj", records);
+  const std::string path = dir + "/capped.crwj";
+  auto journal = Journal::Create(path, SmallHeader());
+  ASSERT_TRUE(journal.ok()) << journal.status();
+  ASSERT_TRUE(journal->Append(all.first(2)).ok());
+  const uint64_t bytes = journal->file_bytes();
+  {
+    // Record 4 of the span is cut after 10 bytes.
+    FileSizeCap cap(bytes + Journal::kRecordBytes + 10);
+    EXPECT_TRUE(journal->Append(all.subspan(2)).IsIoError());
+  }
+  EXPECT_EQ(fs::file_size(path), bytes);
+  EXPECT_EQ(journal->file_bytes(), bytes);
+  EXPECT_EQ(journal->next_seq(), 3u);
+  ASSERT_TRUE(journal->Append(all.subspan(2)).ok());
+  auto clean = ReadFileBytes(dir + "/clean.crwj");
+  auto capped = ReadFileBytes(path);
+  ASSERT_TRUE(clean.ok() && capped.ok());
+  EXPECT_EQ(*capped, *clean);
 }
 
 TEST(JournalTest, GarbageHeaderIsAnIoError) {
@@ -668,6 +789,68 @@ TEST(ServiceRecoveryTest, OutOfRangeJournalRecordFailsOpenCleanly) {
               std::string::npos)
         << service.status();
   }
+}
+
+// A journal write that fails is final. Every RESP of the failed run
+// gets the I/O error, the journal keeps no torn bytes, and RESP and
+// SNAPSHOT are refused until the service is reopened. After the
+// reopen every acked seq is present and no failed one is.
+TEST(ServiceRecoveryTest, FailedJournalWriteIsFinalAndLeavesNoTornBytes) {
+  const std::string state = ScratchDir("service_failed_write") + "/state";
+  const std::string journal = state + "/journal.crwj";
+  ServiceOptions options;
+  options.num_workers = 4;
+  options.num_tasks = 6;
+  options.data_dir = state;
+  auto service = Service::Open(options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  ASSERT_EQ((*service)->ExecuteLine("RESP 0 0 1"), "{\"ok\":true,\"seq\":1}");
+  const uint64_t acked_bytes = fs::file_size(journal);
+
+  // A new response, a no-op and an overwrite: the run's records are
+  // cut 10 bytes into the first one.
+  const std::vector<std::string_view> run = {"RESP 1 0 1", "RESP 0 0 1",
+                                             "RESP 0 0 0"};
+  std::string replies;
+  {
+    FileSizeCap cap(acked_bytes + 10);
+    (*service)->ExecuteBurst(run, &replies);
+  }
+  std::istringstream lines(replies);
+  std::string reply;
+  size_t count = 0;
+  while (std::getline(lines, reply)) {
+    ++count;
+    EXPECT_EQ(reply.find("{\"ok\":false,\"code\":\"I/O error\""), 0u)
+        << reply;
+    EXPECT_NE(reply.find("File too large"), std::string::npos) << reply;
+  }
+  EXPECT_EQ(count, run.size());
+  EXPECT_EQ(fs::file_size(journal), acked_bytes);
+
+  for (const char* line : {"RESP 2 0 1", "SNAPSHOT"}) {
+    reply = (*service)->ExecuteLine(line);
+    EXPECT_NE(reply.find("refused until the service restarts"),
+              std::string::npos)
+        << line << ": " << reply;
+  }
+  EXPECT_EQ((*service)->last_seq(), 1u);
+  EXPECT_EQ(fs::file_size(journal), acked_bytes);
+  service->reset();
+
+  auto recovered = Service::Open(options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ((*recovered)->last_seq(), 1u);
+  EXPECT_EQ(StatField((*recovered)->ExecuteLine("STATS"),
+                      "recovery_truncated_bytes"),
+            0u);
+  core::IncrementalEvaluator acked(4, 6);
+  ASSERT_TRUE(acked.AddResponse(0, 0, 1).ok());
+  EXPECT_EQ(EvalAllJson(recovered->get()),
+            MWorkerResultBodyJson(acked.EvaluateAll()));
+  // The reopened service takes writes again, from the next seq.
+  EXPECT_EQ((*recovered)->ExecuteLine("RESP 1 0 1"),
+            "{\"ok\":true,\"seq\":2}");
 }
 
 TEST(ServiceRecoveryTest, StaleTempFilesSweptOnOpen) {

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,7 @@
 #include "gtest/gtest.h"
 #include "json_reference.h"
 #include "rng/random.h"
+#include "server/binary_io.h"
 #include "server/protocol.h"
 #include "stats_reply.h"
 
@@ -515,6 +518,130 @@ TEST(ServiceTest, SpammersCommandReportsFilteredWorkers) {
   EXPECT_NE(reply.find("\"ok\":true"), std::string::npos);
   EXPECT_NE(reply.find("\"spammers\":[{\"worker\":4,"), std::string::npos)
       << reply;
+}
+
+// ---- Bursts against one line at a time ------------------------------
+
+// One random protocol line: new, no-op and out-of-range RESPs (so runs
+// mix acks of fresh seqs, acks of the current seq and rejections),
+// malformed lines, STATS, EVAL, SNAPSHOT and now and then a QUIT.
+std::string RandomLine(Random* rng, size_t workers, size_t tasks,
+                       data::ResponseMatrix* sent) {
+  const uint64_t kind = rng->UniformInt(100);
+  if (kind < 60) {
+    auto w = static_cast<data::WorkerId>(rng->UniformInt(workers));
+    auto t = static_cast<data::TaskId>(rng->UniformInt(tasks));
+    auto v = static_cast<data::Response>(rng->UniformInt(2));
+    if (kind < 15) {
+      if (auto current = sent->Get(w, t)) v = *current;  // a no-op
+    }
+    EXPECT_TRUE(sent->Set(w, t, v).ok());
+    return "RESP " + std::to_string(w) + " " + std::to_string(t) + " " +
+           std::to_string(v);
+  }
+  if (kind < 66) return "RESP " + std::to_string(workers) + " 0 1";
+  if (kind < 70) return "RESP 0 " + std::to_string(tasks) + " 0";
+  if (kind < 73) return "RESP 0 0 2";
+  if (kind < 76) return "RESP 1 2";
+  if (kind < 79) return "BOGUS 7";
+  if (kind < 81) return "";
+  if (kind < 86) return "STATS";
+  if (kind < 93) return "EVAL " + std::to_string(rng->UniformInt(workers));
+  if (kind < 97) return "SNAPSHOT";
+  return "QUIT";
+}
+
+// STATS carries the summed EVAL wall time, which differs between any
+// two services; everything else in a reply is deterministic.
+std::string MaskEvalMicros(const std::string& replies) {
+  const std::string key = "\"eval_micros_total\":";
+  std::string masked;
+  size_t from = 0;
+  for (size_t pos = replies.find(key); pos != std::string::npos;
+       pos = replies.find(key, from)) {
+    pos += key.size();
+    masked.append(replies, from, pos - from);
+    masked += '0';
+    from = replies.find_first_of(",}", pos);
+  }
+  masked.append(replies, from, std::string::npos);
+  return masked;
+}
+
+// Every file of a data directory, by name, with its bytes.
+std::map<std::string, std::vector<uint8_t>> DirBytes(const std::string& dir) {
+  std::map<std::string, std::vector<uint8_t>> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    auto bytes = ReadFileBytes(entry.path().string());
+    EXPECT_TRUE(bytes.ok()) << bytes.status();
+    if (bytes.ok()) files[entry.path().filename().string()] = *bytes;
+  }
+  return files;
+}
+
+// Random bursts through ExecuteBurst on one service, and the same lines
+// one at a time through ExecuteLine on a twin, the way a connection
+// served them before runs: the replies, the journal and snapshot files
+// and the final EVAL_ALL must be byte-identical. Each burst ends at its
+// first QUIT, as a connection does.
+TEST(ServiceTest, BurstsMatchLineByLineByteForByte) {
+  constexpr size_t kWorkers = 6;
+  constexpr size_t kTasks = 12;
+  struct Config {
+    uint64_t snapshot_every;
+    bool fsync;
+  };
+  for (const Config config : {Config{0, false}, Config{7, true}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "snapshot_every " << config.snapshot_every);
+    const std::string dir =
+        ScratchDir("burst_" + std::to_string(config.snapshot_every));
+    ServiceOptions options;
+    options.num_workers = kWorkers;
+    options.num_tasks = kTasks;
+    options.snapshot_every = config.snapshot_every;
+    options.fsync_each_append = config.fsync;
+    options.data_dir = dir + "/burst";
+    auto burst_service = Service::Open(options);
+    ASSERT_TRUE(burst_service.ok()) << burst_service.status();
+    options.data_dir = dir + "/lines";
+    auto line_service = Service::Open(options);
+    ASSERT_TRUE(line_service.ok()) << line_service.status();
+
+    Random rng(2024 + config.snapshot_every);
+    data::ResponseMatrix sent(kWorkers, kTasks, 2);
+    for (int b = 0; b < 150; ++b) {
+      std::vector<std::string> lines(1 + rng.UniformInt(40));
+      for (std::string& line : lines) {
+        line = RandomLine(&rng, kWorkers, kTasks, &sent);
+      }
+      const std::vector<std::string_view> views(lines.begin(), lines.end());
+      std::string burst_replies;
+      bool burst_quit = false;
+      (*burst_service)->ExecuteBurst(views, &burst_replies, &burst_quit);
+
+      std::string line_replies;
+      bool line_quit = false;
+      for (const std::string& line : lines) {
+        line_replies += (*line_service)->ExecuteLine(line, &line_quit);
+        line_replies += '\n';
+        if (line_quit) break;
+      }
+      ASSERT_EQ(burst_quit, line_quit) << "burst " << b;
+      ASSERT_EQ(MaskEvalMicros(burst_replies), MaskEvalMicros(line_replies))
+          << "burst " << b;
+    }
+    EXPECT_GT((*line_service)->last_seq(), 100u);
+    if (config.snapshot_every > 0) {
+      // Many automatic snapshots ran, so some fell inside RESP runs.
+      EXPECT_GT(StatField((*burst_service)->ExecuteLine("STATS"),
+                          "snapshots_written"),
+                10u);
+    }
+    EXPECT_EQ(DirBytes(dir + "/burst"), DirBytes(dir + "/lines"));
+    EXPECT_EQ((*burst_service)->ExecuteLine("EVAL_ALL"),
+              (*line_service)->ExecuteLine("EVAL_ALL"));
+  }
 }
 
 // ---- Replies against the printf oracle -------------------------------
