@@ -8,6 +8,7 @@
 #include "server/snapshot.h"
 #include "util/json.h"
 #include "util/logging.h"
+#include "util/scheduler_slice.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
 
@@ -296,8 +297,9 @@ void Service::CommitPending(std::span<RespOutcome> run) {
     Status st = journal_->Append(pending_);
     if (st.ok() && options_.fsync_each_append) st = journal_->Sync();
     if (!st.ok()) {
-      CROWD_LOG_ERROR << "journal failed; refusing writes until restart: "
-                      << st;
+      CROWD_LOG_ERROR
+          << "journal failed; refusing writes and reads until restart: "
+          << st;
       journal_failure_ = st;
       for (RespOutcome& outcome : run) outcome.status = st;
       pending_.clear();
@@ -316,7 +318,8 @@ void Service::CommitPending(std::span<RespOutcome> run) {
 Status Service::JournalFailedError() const {
   return Status::IoError(
       "journal failed (" + journal_failure_.message() +
-      "); RESP and SNAPSHOT are refused until the service restarts");
+      "); RESP, EVAL, EVAL_ALL, SPAMMERS and SNAPSHOT are refused until "
+      "the service restarts");
 }
 
 Result<core::WorkerAssessment> Service::Evaluate(data::WorkerId worker) {
@@ -324,6 +327,7 @@ Result<core::WorkerAssessment> Service::Evaluate(data::WorkerId worker) {
   core::IncrementalEvaluator::Pass pass;
   {
     util::MutexLock lock(mu_);
+    if (!journal_failure_.ok()) return JournalFailedError();
     evaluator = evaluator_.get();
     // A rejected id touches no cache, so it counts as neither a hit
     // nor a miss.
@@ -333,24 +337,42 @@ Result<core::WorkerAssessment> Service::Evaluate(data::WorkerId worker) {
     (pass.stale.empty() ? counters_.cache_hits : counters_.cache_misses)
         ->Increment();
   }
-  Result<core::WorkerAssessment> result = evaluator->Run(&pass);
+  Result<core::WorkerAssessment> result = [&] {
+    util::ShortSchedulerSlice yield_to_writers;
+    return evaluator->Run(&pass);
+  }();
   util::MutexLock lock(mu_);
   evaluator->Commit(std::move(pass));
   return result;
 }
 
 core::MWorkerResult Service::EvaluateAll() {
+  Result<core::MWorkerResult> result = EvaluateAllOrRefuse();
+  if (result.ok()) return std::move(*result);
+  core::MWorkerResult refused;
+  const size_t workers = num_workers();
+  for (data::WorkerId w = 0; w < workers; ++w) {
+    refused.failures.emplace_back(w, result.status());
+  }
+  return refused;
+}
+
+Result<core::MWorkerResult> Service::EvaluateAllOrRefuse() {
   core::IncrementalEvaluator* evaluator = nullptr;
   core::IncrementalEvaluator::Pass pass;
   {
     util::MutexLock lock(mu_);
+    if (!journal_failure_.ok()) return JournalFailedError();
     evaluator = evaluator_.get();
     pass = evaluator->CaptureAll(core::IncrementalEvaluator::IndexView::kCopy);
     counters_.cache_misses->Increment(pass.stale.size());
     counters_.cache_hits->Increment(pass.results.size() - pass.stale.size());
     counters_.eval_all_runs->Increment();
   }
-  core::MWorkerResult result = evaluator->RunAll(&pass);
+  core::MWorkerResult result = [&] {
+    util::ShortSchedulerSlice yield_to_writers;
+    return evaluator->RunAll(&pass);
+  }();
   util::MutexLock lock(mu_);
   evaluator->Commit(std::move(pass));
   return result;
@@ -444,8 +466,11 @@ void Service::ExecuteBurst(std::span<const std::string_view> lines,
                            std::string* out, bool* quit) {
   if (quit != nullptr) *quit = false;
   // RESP lines gather into a run until a line of another kind (or the
-  // end of the burst) closes it.
-  std::vector<Command> run;
+  // end of the burst) closes it. The buffer is the thread's own and
+  // keeps its capacity, so a run allocates nothing once the thread has
+  // seen one as long.
+  thread_local std::vector<Command> run;
+  run.clear();
   for (std::string_view line : lines) {
     Result<Command> cmd = ParseCommand(line);
     if (cmd.ok() && cmd->type == CommandType::kResp) {
@@ -476,7 +501,9 @@ void Service::ExecuteBurst(std::span<const std::string_view> lines,
 void Service::ServeRespRun(std::span<const Command> run, std::string* out) {
   if (run.empty()) return;
   Stopwatch timer;
-  std::vector<RespOutcome> outcomes(run.size());
+  thread_local std::vector<RespOutcome> outcomes;  // reused like `run`
+  outcomes.clear();
+  outcomes.resize(run.size());
   IngestRun(run, outcomes.data());
   for (const RespOutcome& outcome : outcomes) {
     if (outcome.status.ok()) {
@@ -516,14 +543,16 @@ std::string Service::HandleCommand(const Command& cmd, bool* quit) {
       return out;
     }
     case CommandType::kEvalAll: {
-      core::MWorkerResult result = EvaluateAll();
+      Result<core::MWorkerResult> result = EvaluateAllOrRefuse();
+      if (!result.ok()) return ErrorJson(result.status());
       out = "{\"ok\":true,";
-      AppendMWorkerResultBodyJson(&out, result);
+      AppendMWorkerResultBodyJson(&out, *result);
       out += '}';
       return out;
     }
     case CommandType::kSpammers: {
       util::MutexLock lock(mu_);
+      if (!journal_failure_.ok()) return ErrorJson(JournalFailedError());
       auto filtered = core::FilterSpammers(evaluator_->responses(),
                                            options_.spammer);
       if (!filtered.ok()) return ErrorJson(filtered.status());

@@ -14,7 +14,10 @@
 //      is stale) a private copy of the overlap index;
 //   2. run, without mu_: the stale workers are evaluated against that
 //      copy, on up to `binary.num_threads` threads (EvaluatePool), while
-//      writers keep mutating the live index;
+//      writers keep mutating the live index. The run holds a
+//      util::ShortSchedulerSlice, so a writer woken on an evaluating
+//      CPU preempts the pass within 100 µs instead of waiting out the
+//      kernel's default ~2 ms slice;
 //   3. commit, under mu_: each result is cached only if no RESP dirtied
 //      its worker since the capture.
 // The capture is the linearization point: a reply reflects exactly the
@@ -31,9 +34,11 @@
 // cost. A RESP run is journaled with one write(2) (and one fsync)
 // before any of its acks is written. A failed journal write or sync is
 // final: every RESP of that run gets the I/O error, the journal is cut
-// back to its last whole record, and RESP and SNAPSHOT are refused
-// until the service is reopened (the failed run's cells stay applied
-// in memory, so EVAL may read them until then; recovery drops them).
+// back to its last whole record, and RESP, EVAL, EVAL_ALL, SPAMMERS and
+// SNAPSHOT are refused until the service is reopened: the failed run's
+// cells stay applied in memory, where no read may see them, and
+// recovery drops them. STATS still answers; its total_responses
+// counts those cells.
 // Recovery sequence (Service::Open with a data_dir):
 //   1. newest snapshot whose checksum validates -> response matrix
 //      (an empty matrix when there is no snapshot),
@@ -134,6 +139,9 @@ class Service {
   Status Ingest(data::WorkerId worker, data::TaskId task,
                 data::Response value, uint64_t* seq = nullptr)
       CROWD_EXCLUDES(mu_);
+  /// Evaluate and EvaluateAll are refused once the journal has failed:
+  /// Evaluate returns the error, EvaluateAll reports it as every
+  /// worker's failure.
   Result<core::WorkerAssessment> Evaluate(data::WorkerId worker)
       CROWD_EXCLUDES(mu_);
   core::MWorkerResult EvaluateAll() CROWD_EXCLUDES(mu_);
@@ -200,8 +208,12 @@ class Service {
   /// last_seq_ past it. On failure the journal is failed for good and
   /// every outcome in `run` gets the error.
   void CommitPending(std::span<RespOutcome> run) CROWD_REQUIRES(mu_);
-  /// The error RESP and SNAPSHOT get once the journal has failed.
+  /// The error every verb but STATS, METRICS and QUIT gets once the
+  /// journal has failed.
   Status JournalFailedError() const CROWD_REQUIRES(mu_);
+  /// EVAL_ALL: the journal's failure, or the assessment of every
+  /// worker.
+  Result<core::MWorkerResult> EvaluateAllOrRefuse() CROWD_EXCLUDES(mu_);
   /// Every verb but RESP, which runs in runs through IngestRun.
   std::string HandleCommand(const Command& cmd, bool* quit)
       CROWD_EXCLUDES(mu_);

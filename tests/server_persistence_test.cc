@@ -792,9 +792,11 @@ TEST(ServiceRecoveryTest, OutOfRangeJournalRecordFailsOpenCleanly) {
 }
 
 // A journal write that fails is final. Every RESP of the failed run
-// gets the I/O error, the journal keeps no torn bytes, and RESP and
-// SNAPSHOT are refused until the service is reopened. After the
-// reopen every acked seq is present and no failed one is.
+// gets the I/O error, the journal keeps no torn bytes, and every verb
+// that writes or reads the responses (RESP, SNAPSHOT, EVAL, EVAL_ALL,
+// SPAMMERS) is refused until the service is reopened, since the failed
+// run's cells are still in memory. After the reopen every acked seq is
+// present, no failed one is, and every verb works again.
 TEST(ServiceRecoveryTest, FailedJournalWriteIsFinalAndLeavesNoTornBytes) {
   const std::string state = ScratchDir("service_failed_write") + "/state";
   const std::string journal = state + "/journal.crwj";
@@ -828,12 +830,27 @@ TEST(ServiceRecoveryTest, FailedJournalWriteIsFinalAndLeavesNoTornBytes) {
   EXPECT_EQ(count, run.size());
   EXPECT_EQ(fs::file_size(journal), acked_bytes);
 
-  for (const char* line : {"RESP 2 0 1", "SNAPSHOT"}) {
+  for (const char* line :
+       {"RESP 2 0 1", "SNAPSHOT", "EVAL 0", "EVAL_ALL", "SPAMMERS"}) {
     reply = (*service)->ExecuteLine(line);
+    EXPECT_EQ(reply.find("{\"ok\":false,\"code\":\"I/O error\""), 0u)
+        << line << ": " << reply;
     EXPECT_NE(reply.find("refused until the service restarts"),
               std::string::npos)
         << line << ": " << reply;
   }
+  // The typed entry points refuse too: EvaluateAll with every worker
+  // failed.
+  Result<core::WorkerAssessment> one = (*service)->Evaluate(0);
+  EXPECT_TRUE(one.status().IsIoError()) << one.status();
+  core::MWorkerResult all = (*service)->EvaluateAll();
+  EXPECT_TRUE(all.assessments.empty());
+  ASSERT_EQ(all.failures.size(), 4u);
+  for (const auto& [worker, status] : all.failures) {
+    EXPECT_TRUE(status.IsIoError()) << worker << ": " << status;
+  }
+  EXPECT_EQ(StatField((*service)->ExecuteLine("STATS"), "total_responses"),
+            2u);
   EXPECT_EQ((*service)->last_seq(), 1u);
   EXPECT_EQ(fs::file_size(journal), acked_bytes);
   service->reset();
@@ -848,9 +865,17 @@ TEST(ServiceRecoveryTest, FailedJournalWriteIsFinalAndLeavesNoTornBytes) {
   ASSERT_TRUE(acked.AddResponse(0, 0, 1).ok());
   EXPECT_EQ(EvalAllJson(recovered->get()),
             MWorkerResultBodyJson(acked.EvaluateAll()));
-  // The reopened service takes writes again, from the next seq.
+  // The reopened service takes writes again, from the next seq, and
+  // answers every read.
   EXPECT_EQ((*recovered)->ExecuteLine("RESP 1 0 1"),
             "{\"ok\":true,\"seq\":2}");
+  for (const char* line : {"SPAMMERS", "SNAPSHOT"}) {
+    EXPECT_EQ((*recovered)->ExecuteLine(line).find("{\"ok\":true,"), 0u)
+        << line;
+  }
+  // Two responses are too few to assess worker 0, but EVAL is answered.
+  reply = (*recovered)->ExecuteLine("EVAL 0");
+  EXPECT_EQ(reply.find("refused"), std::string::npos) << reply;
 }
 
 TEST(ServiceRecoveryTest, StaleTempFilesSweptOnOpen) {

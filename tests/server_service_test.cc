@@ -502,6 +502,76 @@ TEST(ServiceTest, ConcurrentIngestAndEvalMatchFinalState) {
   EXPECT_EQ(StatField(stats, "eval_all_runs"), eval_alls + 1);
 }
 
+// EVAL_ALL runs its pass on the kernel's shortest scheduler slice (on
+// two threads here, the helper inheriting the slice) while two writers
+// ingest through the typed entry point. The slice changes when the
+// evaluator yields, never what it computes: once the writers are done,
+// EVAL_ALL equals that of a twin fed the same responses with no
+// evaluation in flight, byte for byte. Run under TSan in CI.
+TEST(ServiceTest, EvalAllBesideIngestMatchesQuiescentTwin) {
+  constexpr size_t kWorkers = 8;
+  constexpr size_t kTasks = 150;
+  constexpr size_t kWriters = 2;
+  ServiceOptions options;
+  options.num_workers = kWorkers;
+  options.num_tasks = kTasks;
+  options.binary.num_threads = 2;
+  auto busy = Service::Open(options);
+  auto twin = Service::Open(options);
+  ASSERT_TRUE(busy.ok() && twin.ok());
+
+  struct Cell {
+    data::WorkerId worker;
+    data::TaskId task;
+    data::Response value;
+  };
+  // Writer i owns workers [i * 4, i * 4 + 4) and writes each of their
+  // cells once.
+  std::vector<std::vector<Cell>> streams(kWriters);
+  for (size_t i = 0; i < kWriters; ++i) {
+    Random rng(500 + i);
+    for (data::TaskId t = 0; t < kTasks; ++t) {
+      for (size_t k = 0; k < kWorkers / kWriters; ++k) {
+        streams[i].push_back({i * (kWorkers / kWriters) + k, t,
+                              static_cast<data::Response>(rng.UniformInt(2))});
+      }
+    }
+  }
+  std::atomic<size_t> eval_alls{0};
+  std::atomic<size_t> writers_left{kWriters};
+  std::vector<std::thread> writers;
+  for (size_t i = 0; i < kWriters; ++i) {
+    writers.emplace_back([&, i] {
+      for (size_t n = 0; n < streams[i].size(); ++n) {
+        // The second half waits for an EVAL_ALL, so passes and writes
+        // surely overlap.
+        while (n == streams[i].size() / 2 && eval_alls.load() < 3) {
+          std::this_thread::yield();
+        }
+        const Cell& c = streams[i][n];
+        EXPECT_TRUE((*busy)->Ingest(c.worker, c.task, c.value).ok());
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  std::thread reader([&] {
+    while (writers_left.load() > 0) {
+      const std::string reply = (*busy)->ExecuteLine("EVAL_ALL");
+      EXPECT_EQ(reply.find("{\"ok\":true,"), 0u) << reply;
+      eval_alls.fetch_add(1);
+    }
+  });
+  for (std::thread& w : writers) w.join();
+  reader.join();
+
+  for (const std::vector<Cell>& stream : streams) {
+    for (const Cell& c : stream) {
+      ASSERT_TRUE((*twin)->Ingest(c.worker, c.task, c.value).ok());
+    }
+  }
+  EXPECT_EQ((*busy)->ExecuteLine("EVAL_ALL"), (*twin)->ExecuteLine("EVAL_ALL"));
+}
+
 TEST(ServiceTest, SpammersCommandReportsFilteredWorkers) {
   constexpr size_t kWorkers = 5;
   constexpr size_t kTasks = 30;

@@ -1,8 +1,11 @@
 // Unit tests for the util module: Status/Result, string helpers, CSV,
-// log-line formatting (text + JSON modes) and the JSON writer, whose
-// output is compared with the printf forms of tests/json_reference.h.
+// log-line formatting (text + JSON modes), the JSON writer, whose
+// output is compared with the printf forms of tests/json_reference.h,
+// and the scheduler-slice guard.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
 #include <bit>
 #include <cfloat>
@@ -10,7 +13,9 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "json_reference.h"
@@ -19,6 +24,7 @@
 #include "util/json.h"
 #include "util/logging.h"
 #include "util/result.h"
+#include "util/scheduler_slice.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -418,6 +424,106 @@ TEST(Logging, JsonLinesMatchReference) {
               ReferenceJsonLogLine(level.name, file, line, message, ts))
         << trial;
   }
+}
+
+constexpr uint64_t kShortSlice = util::ShortSchedulerSlice::kSliceNanos;
+
+util::SchedAttr ReadSchedAttr() {
+  util::SchedAttr attr;
+  EXPECT_TRUE(util::GetSchedAttr(&attr));
+  return attr;
+}
+
+// Whether a guard's slice reads back: custom fair-class slices need
+// Linux 6.12, and a seccomp filter may refuse the calls.
+bool KernelTakesShortSlice() {
+  util::ShortSchedulerSlice guard;
+  util::SchedAttr attr;
+  return util::GetSchedAttr(&attr) && attr.sched_runtime == kShortSlice;
+}
+
+constexpr const char* kNoShortSlice =
+    "the kernel does not read back a 100 us slice (custom slices need "
+    "Linux 6.12)";
+
+// What the guard must leave as it found it. `before` must not be on
+// the short slice already, or a guard (the probe's included) that
+// restores nothing would go unnoticed.
+void ExpectSameSchedule(const util::SchedAttr& before,
+                        const util::SchedAttr& after) {
+  EXPECT_NE(before.sched_runtime, kShortSlice);
+  EXPECT_EQ(after.sched_policy, before.sched_policy);
+  EXPECT_EQ(after.sched_nice, before.sched_nice);
+  EXPECT_EQ(after.sched_runtime, before.sched_runtime);
+}
+
+TEST(ShortSchedulerSlice, ShortensOnlyTheSliceAndRestoresIt) {
+  if (!KernelTakesShortSlice()) GTEST_SKIP() << kNoShortSlice;
+  const util::SchedAttr before = ReadSchedAttr();
+  {
+    util::ShortSchedulerSlice guard;
+    const util::SchedAttr inside = ReadSchedAttr();
+    EXPECT_EQ(inside.sched_runtime, kShortSlice);
+    EXPECT_EQ(inside.sched_policy, before.sched_policy);
+    EXPECT_EQ(inside.sched_nice, before.sched_nice);
+  }
+  ExpectSameSchedule(before, ReadSchedAttr());
+}
+
+TEST(ShortSchedulerSlice, RestoresWhenTheBodyThrows) {
+  if (!KernelTakesShortSlice()) GTEST_SKIP() << kNoShortSlice;
+  const util::SchedAttr before = ReadSchedAttr();
+  try {
+    util::ShortSchedulerSlice guard;
+    EXPECT_EQ(ReadSchedAttr().sched_runtime, kShortSlice);
+    throw std::runtime_error("evaluation threw");
+  } catch (const std::runtime_error&) {
+  }
+  ExpectSameSchedule(before, ReadSchedAttr());
+}
+
+TEST(ShortSchedulerSlice, RestoresANiceFiveThread) {
+  if (!KernelTakesShortSlice()) GTEST_SKIP() << kNoShortSlice;
+  // Raising nice needs no privilege but cannot be undone without one,
+  // so the test thread is its own.
+  util::SchedAttr before, inside, after;
+  std::thread([&] {
+    ASSERT_EQ(setpriority(PRIO_PROCESS, static_cast<id_t>(gettid()), 5), 0);
+    before = ReadSchedAttr();
+    {
+      util::ShortSchedulerSlice guard;
+      inside = ReadSchedAttr();
+    }
+    after = ReadSchedAttr();
+  }).join();
+  EXPECT_EQ(before.sched_nice, 5);
+  EXPECT_EQ(inside.sched_nice, 5);
+  EXPECT_EQ(inside.sched_runtime, kShortSlice);
+  ExpectSameSchedule(before, after);
+}
+
+TEST(ShortSchedulerSlice, RestoresACustomSliceWhenNested) {
+  if (!KernelTakesShortSlice()) GTEST_SKIP() << kNoShortSlice;
+  const util::SchedAttr before = ReadSchedAttr();
+  {
+    util::ShortSchedulerSlice outer;
+    {
+      // The inner guard finds a custom slice, not the kernel default.
+      util::ShortSchedulerSlice inner;
+    }
+    EXPECT_EQ(ReadSchedAttr().sched_runtime, kShortSlice);
+  }
+  ExpectSameSchedule(before, ReadSchedAttr());
+}
+
+TEST(ShortSchedulerSlice, ThreadStartedInsideInheritsTheSlice) {
+  if (!KernelTakesShortSlice()) GTEST_SKIP() << kNoShortSlice;
+  util::SchedAttr helper;
+  {
+    util::ShortSchedulerSlice guard;
+    std::thread([&] { helper = ReadSchedAttr(); }).join();
+  }
+  EXPECT_EQ(helper.sched_runtime, kShortSlice);
 }
 
 }  // namespace
